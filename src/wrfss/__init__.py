@@ -1,33 +1,23 @@
 """Fish School Search family for constrained continuous optimization.
 
-Provides the base school operators, the link-based niching layer, the
-two-phase constrained engine with its epsilon / gradient-probe / penalty
-variants, the CEC 2010 benchmark subset at 10D, and a reproducible
-experiment harness with a CLI.
+Provides the school state, the link-based niching layer with its
+leader-aware collective movements, the two-phase constrained engine with its
+epsilon / gradient-probe / penalty variants, the CEC 2010 benchmark subset at
+10D, and a reproducible experiment harness with a CLI.
 """
 
 from .constraint_handling import (
     EpsilonSchedule,
-    deb_better,
-    epsilon_leq,
-    epsilon_less,
+    best_index,
+    epsilon_less_arrays,
     initial_epsilon,
     normalized_feeding,
-    penalized_fitness,
 )
 from .engine import EngineParams, PhaseController, RunRecord, Variant, decide_phase, run
-from .gradient import ProbeConfig, forward_gradient, pick_direction, probe_move
-from .niching import LinkGraph, instinctive_with_leader, link_formator, volitive_with_leader
-from .problem import Evaluation, EvaluationError, Problem, clamp, evaluate, evaluate_many, relax_equalities
-from .school import (
-    Fish,
-    School,
-    StepSchedule,
-    collective_instinctive,
-    collective_volitive,
-    feeding,
-    individual_movement,
-)
+from .gradient import ProbeConfig, forward_gradient, pick_direction
+from .niching import LinkGraph, leader_instinctive_step, leader_volitive_step, link_formator
+from .problem import Evaluation, EvaluationError, Problem, evaluate, evaluate_many, relax_equalities
+from .school import School, StepSchedule
 
 __version__ = "0.1.0"
 
@@ -39,29 +29,20 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "relax_equalities",
-    "clamp",
-    "Fish",
     "School",
     "StepSchedule",
-    "individual_movement",
-    "feeding",
-    "collective_instinctive",
-    "collective_volitive",
     "LinkGraph",
     "link_formator",
-    "instinctive_with_leader",
-    "volitive_with_leader",
-    "deb_better",
-    "epsilon_less",
-    "epsilon_leq",
+    "leader_instinctive_step",
+    "leader_volitive_step",
+    "best_index",
+    "epsilon_less_arrays",
     "EpsilonSchedule",
     "initial_epsilon",
-    "penalized_fitness",
     "normalized_feeding",
     "ProbeConfig",
     "forward_gradient",
     "pick_direction",
-    "probe_move",
     "Variant",
     "EngineParams",
     "PhaseController",

@@ -121,7 +121,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
             kwargs[field] = value
     if not kwargs.get("problem_id") or not kwargs.get("variant"):
         parser.error("a problem and a variant are required (flags, preset, or config file)")
-    return harness.ExperimentConfig(**kwargs)
+    try:
+        return harness.ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _execute_batch(config: harness.ExperimentConfig, jobs: int) -> None:

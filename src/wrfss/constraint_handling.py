@@ -1,8 +1,9 @@
 """Comparators and schedules for constrained search.
 
-Contains the feasibility-first comparison rules (Deb), the epsilon comparison
-with its decay schedule, the additive penalty objective, and the normalized
-feeding rule that maps objective values onto fish weights.
+Contains the feasibility-first selection of a population's best (Deb), the
+epsilon comparison with its decay schedule, and the normalized feeding rule
+that maps objective values onto fish weights. With a zero tolerance the
+epsilon comparison is the feasibility rules.
 """
 
 from __future__ import annotations
@@ -12,35 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Evaluation
-
 __all__ = [
-    "deb_better",
     "best_index",
-    "epsilon_less",
-    "epsilon_leq",
+    "epsilon_less_arrays",
     "EpsilonSchedule",
     "initial_epsilon",
-    "penalized_fitness",
     "normalized_feeding",
     "RunningExtremes",
 ]
-
-
-def deb_better(a: Evaluation, b: Evaluation) -> bool:
-    """True when ``a`` is strictly preferred over ``b`` under feasibility rules.
-
-    Feasible beats infeasible; two feasible points compare by fitness
-    (minimization); two infeasible points compare by violation. Exact ties are
-    not "better".
-    """
-    if a.feasible and not b.feasible:
-        return True
-    if b.feasible and not a.feasible:
-        return False
-    if a.feasible:
-        return a.fitness < b.fitness
-    return a.violation < b.violation
 
 
 def best_index(fitness: np.ndarray, violation: np.ndarray) -> int:
@@ -52,30 +32,17 @@ def best_index(fitness: np.ndarray, violation: np.ndarray) -> int:
     return int(np.argmin(violation))
 
 
-def epsilon_less(a: Evaluation, b: Evaluation, eps: float) -> bool:
-    """Strict epsilon comparison of (fitness, violation) pairs.
-
-    Compares by fitness when both violations are within ``eps`` or when the
-    violations are exactly equal, and by violation otherwise. ``math.inf``
-    reduces it to a plain fitness comparison, and ``0`` to the feasibility
-    rules.
-    """
-    if (a.violation <= eps and b.violation <= eps) or a.violation == b.violation:
-        return a.fitness < b.fitness
-    return a.violation < b.violation
-
-
-def epsilon_leq(a: Evaluation, b: Evaluation, eps: float) -> bool:
-    """Non-strict variant of :func:`epsilon_less`."""
-    if (a.violation <= eps and b.violation <= eps) or a.violation == b.violation:
-        return a.fitness <= b.fitness
-    return a.violation <= b.violation
-
-
 def epsilon_less_arrays(
     f1: np.ndarray, v1: np.ndarray, f2: np.ndarray, v2: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Vectorized :func:`epsilon_less` over parallel arrays."""
+    """Strict epsilon comparison of (fitness, violation) pairs, elementwise.
+
+    Pair 1 beats pair 2 by fitness when both violations are within ``eps`` or
+    the violations are exactly equal, and by violation otherwise. ``math.inf``
+    reduces it to a plain fitness comparison, and ``0`` to the feasibility
+    rules (feasible beats infeasible, then fitness among feasible, violation
+    among infeasible).
+    """
     by_fitness = ((v1 <= eps) & (v2 <= eps)) | (v1 == v2)
     return np.where(by_fitness, f1 < f2, v1 < v2)
 
@@ -125,11 +92,6 @@ class EpsilonSchedule:
         if t == 0:
             return self.eps0
         return self.eps0 * (1.0 - t / self.cutoff) ** self.cp
-
-
-def penalized_fitness(e: Evaluation) -> float:
-    """Fitness plus violation; leaves feasible points unchanged."""
-    return e.fitness + e.violation
 
 
 def normalized_feeding(

@@ -32,7 +32,7 @@ from .constraint_handling import (
     initial_epsilon,
     normalized_feeding,
 )
-from .gradient import ProbeConfig
+from .gradient import ProbeConfig, forward_gradient, pick_direction
 from .niching import (
     LinkGraph,
     leader_instinctive_step,
@@ -109,6 +109,10 @@ class EngineParams:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         if self.w_scale <= 1.0:
             raise ValueError(f"w_scale must exceed 1, got {self.w_scale}")
+        if not 0.0 <= self.sar_alpha0 <= 1.0:
+            raise ValueError(f"sar_alpha0 must lie in [0, 1], got {self.sar_alpha0}")
+        if self.sar_decay < 0.0:
+            raise ValueError(f"sar_decay must be non-negative, got {self.sar_decay}")
 
 
 def decide_phase(violations: np.ndarray, sigma: float) -> int:
@@ -141,6 +145,10 @@ class RunRecord:
     the initial school. The recorded best is the historical best under the
     feasibility rules, so the violation column is non-increasing and, once
     zero, the fitness column is non-increasing too.
+
+    ``trace_feasible_count`` counts the feasible fish of the school as scored
+    right after the individual movement, before the collective movements
+    shift it; the next iteration's phase decision sees the re-scored school.
     """
 
     seed: int
@@ -197,6 +205,39 @@ def _active_objective(
     if variant.kind == "penalty":
         return fitness + violation
     return fitness
+
+
+def _probe_candidates(
+    violation_rows: Callable[[np.ndarray], np.ndarray],
+    positions: np.ndarray,
+    phase: int,
+    step_ind: np.ndarray,
+    probe: ProbeConfig,
+    e: np.ndarray,
+    rng: np.random.Generator,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> np.ndarray:
+    """Individual-movement candidates with the probability-gated probe.
+
+    A fish whose gate draw falls below ``p_g`` steps step_ind * rand(0, 1)
+    along the direction picked from a forward-difference gradient of the
+    violation (one ``violation_rows`` call of D+1 rows); every other fish
+    takes the plain uniform step in [-step_ind, step_ind]. Candidates are
+    clipped into the box.
+    """
+    n, d = positions.shape
+    gate = rng.random(n)
+    candidates = np.empty_like(positions)
+    for i in range(n):
+        x = positions[i]
+        if gate[i] < probe.p_g:
+            grad = forward_gradient(violation_rows, x, e)
+            u = pick_direction(grad, probe.k_directions, phase, rng)
+            candidates[i] = x + step_ind * rng.random() * u
+        else:
+            candidates[i] = x + rng.uniform(-1.0, 1.0, d) * step_ind
+    return np.clip(candidates, lower, upper, out=candidates)
 
 
 def run(
@@ -286,6 +327,13 @@ def run(
 
     use_probe = variant.kind == "gradient" and probe is not None and probe.p_g > 0.0
 
+    def probe_violation(rows: np.ndarray) -> np.ndarray:
+        nonlocal eval_count, probe_count
+        violation = evaluate_many(problem, rows)[1]
+        eval_count += d + 1
+        probe_count += 1
+        return violation
+
     try:
         for t in range(params.iterations):
             # Start-of-iteration evaluation of the current positions (the
@@ -305,25 +353,10 @@ def run(
 
             # Individual movement: candidates, then acceptance.
             if use_probe:
-                gate = rng.random(n)
-                candidates = np.empty_like(school.positions)
-                for i in range(n):
-                    x = school.positions[i]
-                    if gate[i] < probe.p_g:
-                        pts = np.concatenate([x[None, :], x[None, :] + np.diag(e_vec)])
-                        _, probe_viol = evaluate_many(problem, pts)
-                        eval_count += d + 1
-                        probe_count += 1
-                        grad = (probe_viol[1:] - probe_viol[0]) / e_vec
-                        u = rng.normal(size=(probe.k_directions, d))
-                        u /= np.linalg.norm(u, axis=1, keepdims=True)
-                        derivs = u @ grad
-                        j = int(np.argmin(derivs)) if phase == 1 else int(np.argmin(np.abs(derivs)))
-                        magnitude = rng.random()
-                        candidates[i] = x + step_ind * magnitude * u[j]
-                    else:
-                        candidates[i] = x + rng.uniform(-1.0, 1.0, d) * step_ind
-                np.clip(candidates, lower, upper, out=candidates)
+                candidates = _probe_candidates(
+                    probe_violation, school.positions, phase, step_ind, probe, e_vec, rng,
+                    lower, upper,
+                )
             else:
                 offsets = rng.uniform(-1.0, 1.0, (n, d))
                 candidates = np.clip(school.positions + offsets * step_ind, lower, upper)
@@ -338,14 +371,8 @@ def run(
                 )
             else:
                 better = cand_active < active
-            sar = rng.random(n)
-            accept = better | (sar < alpha)
-
-            school.delta_f = np.where(accept, active - cand_active, 0.0)
-            school.delta_x = np.where(accept[:, None], candidates - school.positions, 0.0)
-            school.positions = np.where(accept[:, None], candidates, school.positions)
-            school.fitness = np.where(accept, cand_fitness, school.fitness)
-            school.violation = np.where(accept, cand_violation, school.violation)
+            accepted = better | (rng.random(n) < alpha)
+            school.accept(accepted, candidates, cand_fitness, cand_violation, active - cand_active)
             tracker.merge_school(school.fitness, school.violation, school.positions)
 
             # Feeding: normalize the active objective against its running extremes.
@@ -354,48 +381,18 @@ def run(
             school.weights = normalized_feeding(
                 active, extremes[phase].min, extremes[phase].max, params.w_scale
             )
-            total_weight = school.total_weight
 
-            # Collective-instinctive movement (leader-aware, ramped by rho),
-            # reading the links formed in the previous iteration.
-            rho = t / params.iterations
-            has_leader = links.leader >= 0
-            num = school.delta_x * school.delta_f[:, None]
-            den = school.delta_f.copy()
-            if has_leader.any():
-                li = links.leader[has_leader]
-                num[has_leader] += school.delta_x[li] * school.delta_f[li, None]
-                den[has_leader] += school.delta_f[li]
-            drift = np.zeros_like(school.positions)
-            np.divide(num, den[:, None], out=drift, where=den[:, None] != 0.0)
-            school.positions = np.clip(school.positions + rho * drift, lower, upper)
-
-            # Link maintenance with the fresh weights.
+            # Collective movements around the links: the instinctive drift reads
+            # the links of the previous iteration, the volitive move the fresh ones.
+            school.positions = leader_instinctive_step(
+                school.positions, school.delta_x, school.delta_f, links,
+                t / params.iterations, lower, upper,
+            )
             links = link_formator(school.weights, links, rng)
-
-            # Collective-volitive movement around per-fish pair barycenters.
-            increased = total_weight > school.prev_total_weight
-            school.prev_total_weight = total_weight
-            r = rng.random((n, d))
-            followers = np.flatnonzero(links.leader >= 0)
-            if followers.size:
-                li = links.leader[followers]
-                wf = school.weights[followers]
-                wl = school.weights[li]
-                pair_b = (
-                    school.positions[followers] * wf[:, None]
-                    + school.positions[li] * wl[:, None]
-                ) / (wf + wl)[:, None]
-                diff = school.positions[followers] - pair_b
-                dist = np.linalg.norm(diff, axis=1)
-                moving = dist > 0.0
-                if moving.any():
-                    tgt = followers[moving]
-                    sign = -1.0 if increased else 1.0
-                    step = sign * step_vol * r[tgt] * diff[moving] / dist[moving, None]
-                    school.positions[tgt] = np.clip(
-                        school.positions[tgt] + step, lower, upper
-                    )
+            school.positions = leader_volitive_step(
+                school.positions, school.weights, links, step_vol, school.weight_gained(),
+                rng.random((n, d)), lower, upper,
+            )
 
             trace_it.append(t + 1)
             trace_f.append(tracker.fitness)

@@ -1,22 +1,23 @@
 """Finite-difference directional probe for the individual movement.
 
 The probe estimates a forward-difference gradient of the violation measure
-(D+1 function evaluations), samples K random unit directions, and moves along
-the direction with the lowest directional derivative (lowest absolute
+from one batch of D+1 evaluations, samples K random unit directions, and
+picks the direction with the lowest directional derivative (lowest absolute
 derivative when the school is already exploiting a feasible region, to avoid
-stepping off it).
+stepping off it). The engine gates the probe per fish and builds the
+candidates from these two functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .problem import Evaluation, Problem, clamp, evaluate
+from .problem import Problem
 
-__all__ = ["ProbeConfig", "forward_gradient", "pick_direction", "probe_move"]
+__all__ = ["ProbeConfig", "forward_gradient", "pick_direction"]
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,16 @@ class ProbeConfig:
 
 
 def forward_gradient(
-    fn: Callable[[np.ndarray], float], x: np.ndarray, e: float | np.ndarray
+    fn_rows: Callable[[np.ndarray], np.ndarray], x: np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """Forward-difference gradient estimate, one perturbed call per dimension.
+    """Forward-difference gradient estimate from one batch of D+1 rows.
 
-    Component j is (fn(x with x_j += e_j) - fn(x)) / e_j; costs exactly D+1
-    calls. ``e`` may be a scalar or a per-dimension array.
+    ``fn_rows`` maps a (D+1, D) array to D+1 values. Row 0 is ``x`` and row
+    j+1 is ``x`` with x_j += e_j, so component j is
+    (fn(x + e_j) - fn(x)) / e_j. ``e`` is a per-dimension array.
     """
-    x = np.asarray(x, dtype=float)
-    e = np.broadcast_to(np.asarray(e, dtype=float), x.shape)
-    base = float(fn(x))
-    grad = np.empty_like(x)
-    for j in range(x.shape[0]):
-        xp = x.copy()
-        xp[j] += e[j]
-        grad[j] = (float(fn(xp)) - base) / e[j]
-    return grad
+    values = fn_rows(np.concatenate([x[None, :], x[None, :] + np.diag(e)]))
+    return (values[1:] - values[0]) / e
 
 
 def pick_direction(
@@ -79,56 +74,8 @@ def pick_direction(
         raise ValueError(f"k must be >= 1, got {k}")
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    gradient = np.asarray(gradient, dtype=float)
     u = rng.normal(size=(k, gradient.shape[0]))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     derivs = u @ gradient
     idx = int(np.argmin(derivs)) if phase == 1 else int(np.argmin(np.abs(derivs)))
     return u[idx]
-
-
-def probe_move(
-    fish,
-    problem: Problem,
-    phase: int,
-    step_ind: float | np.ndarray,
-    config: ProbeConfig,
-    rng: np.random.Generator,
-    better: Callable[[Evaluation, Evaluation], bool],
-    sar_alpha: float = 0.0,
-    score: Callable[[Evaluation], float] | None = None,
-):
-    """Individual movement with a probability-gated directional probe.
-
-    With probability ``p_g`` the candidate is a step of magnitude
-    step_ind * rand(0, 1) along the probed direction of the violation
-    landscape; otherwise the plain random move runs. Acceptance and deltas
-    follow the same rules as the plain move. Each probe costs D+1 violation
-    evaluations on top of the candidate evaluation.
-    """
-    from .school import individual_movement
-
-    if config.p_g > 0.0 and rng.random() < config.p_g:
-        if score is None:
-            score = lambda ev: ev.fitness
-        e = config.resolve_perturbation(problem)
-        grad = forward_gradient(
-            lambda pt: evaluate(problem, pt).violation, fish.position, e
-        )
-        direction = pick_direction(grad, config.k_directions, phase, rng)
-        magnitude = rng.random()
-        candidate = clamp(problem, fish.position + step_ind * magnitude * direction)
-        cand_eval = evaluate(problem, candidate)
-        accept = better(cand_eval, fish.evaluation)
-        if not accept:
-            accept = rng.random() < sar_alpha
-        if not accept:
-            return replace(fish, delta_x=np.zeros_like(fish.position), delta_f=0.0)
-        return type(fish)(
-            position=candidate,
-            weight=fish.weight,
-            delta_x=candidate - fish.position,
-            delta_f=score(fish.evaluation) - score(cand_eval),
-            evaluation=cand_eval,
-        )
-    return individual_movement(fish, problem, step_ind, better, sar_alpha, rng, score=score)

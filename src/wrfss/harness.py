@@ -101,6 +101,9 @@ class ExperimentConfig:
             )
         if self.run_count < 1:
             raise ValueError(f"run_count must be >= 1, got {self.run_count}")
+        # Reject bad engine and variant parameters before any run starts.
+        self.engine_params()
+        self.engine_variant()
 
     def engine_params(self) -> EngineParams:
         return EngineParams(
@@ -326,15 +329,13 @@ def emit_reports(
         _write_trace(trace_path, record)
         paths[f"trace_run{i:03d}"] = trace_path
 
-    try:
-        data_source = config.resolved_data_source()
-    except Exception:
-        data_source = "unavailable"
-    reference = (
-        cec2010.known_reference_values(config.problem_id)
-        if config.problem_id in cec2010.PROBLEM_IDS
-        else {}
-    )
+    data_source, reference = "unavailable", {}
+    if config.problem_id in cec2010.PROBLEM_IDS:
+        reference = cec2010.known_reference_values(config.problem_id)
+        try:
+            data_source = config.resolved_data_source()
+        except cec2010.BenchDataError:
+            pass
 
     summary = {
         "problem": config.problem_id,

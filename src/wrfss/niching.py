@@ -6,10 +6,11 @@ when its own followers collectively outweigh the sampled peer. Links from a
 follower grown heavier than its leader are broken after the pass, and links
 that would close a cycle are refused, so the graph is always a forest.
 
-Leader-aware movement replaces the school-wide aggregates: the instinctive
-drift mixes only the fish's own displacement with its leader's, ramped up by
-rho = t / horizon over the run, and the volitive barycenter is computed per
-fish from the fish/leader pair (a leaderless fish does not move).
+The collective movements are leader-aware, with no school-wide aggregate:
+the instinctive drift mixes only the fish's own displacement with its
+leader's, ramped up by rho = t / horizon over the run, and the volitive
+barycenter is computed per fish from the fish/leader pair (a leaderless fish
+does not move). Both act on the whole school at once.
 """
 
 from __future__ import annotations
@@ -18,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Problem, clamp
-from .school import Fish
-
 __all__ = [
     "LinkGraph",
     "link_formator",
-    "instinctive_with_leader",
-    "volitive_with_leader",
     "leader_instinctive_step",
     "leader_volitive_step",
 ]
@@ -122,51 +118,6 @@ def link_formator(
     return LinkGraph(leader=leader)
 
 
-def instinctive_with_leader(fish: Fish, leader: Fish | None, rho: float) -> np.ndarray:
-    """Leader-aware instinctive displacement, scaled by the ramp ``rho``.
-
-    Mixes the fish's and its leader's last displacements weighted by their
-    score deltas; a zero combined delta yields no displacement.
-    """
-    if rho < 0.0 or rho > 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    num = fish.delta_x * fish.delta_f
-    den = fish.delta_f
-    if leader is not None:
-        num = num + leader.delta_x * leader.delta_f
-        den = den + leader.delta_f
-    if den == 0.0:
-        return np.zeros_like(fish.position)
-    return rho * (num / den)
-
-
-def volitive_with_leader(
-    fish: Fish,
-    leader: Fish | None,
-    problem: Problem,
-    step_vol: float | np.ndarray,
-    weight_increased: bool,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Volitive move toward/away from the fish/leader pair barycenter.
-
-    A leaderless fish has its own position as barycenter and does not move;
-    likewise a fish exactly at the pair barycenter. Returns the new position.
-    """
-    if leader is None:
-        return fish.position.copy()
-    pair_b = (fish.position * fish.weight + leader.position * leader.weight) / (
-        fish.weight + leader.weight
-    )
-    diff = fish.position - pair_b
-    dist = float(np.linalg.norm(diff))
-    if dist == 0.0:
-        return fish.position.copy()
-    r = rng.random(fish.position.shape)
-    sign = -1.0 if weight_increased else 1.0
-    return clamp(problem, fish.position + sign * step_vol * r * diff / dist)
-
-
 def leader_instinctive_step(
     positions: np.ndarray,
     delta_x: np.ndarray,
@@ -176,17 +127,21 @@ def leader_instinctive_step(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> np.ndarray:
-    """Whole-school leader-aware instinctive movement (vectorized).
+    """Leader-aware instinctive movement of the whole school.
 
-    Row-for-row equivalent to :func:`instinctive_with_leader` applied to each
-    fish against the frozen link graph.
+    Each fish drifts by rho * (dx_i df_i + dx_l df_l) / (df_i + df_l), where l
+    is its leader in the frozen link graph; a leaderless fish uses its own
+    terms only. A zero denominator means no drift. Results are clipped into
+    the box.
     """
+    if rho < 0.0 or rho > 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
     has_leader = links.leader >= 0
     num = delta_x * delta_f[:, None]
-    den = delta_f.astype(float).copy()
+    den = delta_f.copy()
     if has_leader.any():
         li = links.leader[has_leader]
-        num[has_leader] = num[has_leader] + delta_x[li] * delta_f[li, None]
+        num[has_leader] += delta_x[li] * delta_f[li, None]
         den[has_leader] += delta_f[li]
     drift = np.zeros_like(positions)
     np.divide(num, den[:, None], out=drift, where=den[:, None] != 0.0)
@@ -203,11 +158,14 @@ def leader_volitive_step(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> np.ndarray:
-    """Whole-school leader-aware volitive movement (vectorized).
+    """Leader-aware volitive movement of the whole school.
 
-    ``draws`` holds one uniform [0, 1) row per fish; only rows of fish that
-    actually move are consumed. Row-for-row equivalent to
-    :func:`volitive_with_leader`.
+    Each follower steps step_vol * draw along the unit direction from its
+    fish/leader pair barycenter: toward it when the school gained weight,
+    away from it otherwise. A leaderless fish, and a fish exactly at its pair
+    barycenter, stays put. ``draws`` holds one uniform [0, 1) row per fish;
+    only rows of fish that move are consumed. Results are clipped into the
+    box.
     """
     out = positions.copy()
     followers = np.flatnonzero(links.leader >= 0)

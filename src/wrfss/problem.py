@@ -21,7 +21,6 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "relax_equalities",
-    "clamp",
 ]
 
 ConstraintFn = Callable[[np.ndarray], float]
@@ -111,11 +110,6 @@ class Evaluation:
     @property
     def feasible(self) -> bool:
         return self.violation == 0.0
-
-
-def clamp(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Project ``x`` coordinate-wise into the problem box. Idempotent."""
-    return np.clip(x, problem.lower, problem.upper)
 
 
 def _violation_terms(values: np.ndarray, exponent: float) -> np.ndarray:

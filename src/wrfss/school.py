@@ -1,10 +1,10 @@
-"""Core fish school operators.
+"""School state and step schedule.
 
-Implements the classic operator set: an individual random-probe movement with
-accept-on-improvement (plus a stagnation-avoidance override), weight feeding,
-the collective-instinctive drift along the improvement-weighted mean
-displacement, and the collective-volitive contraction/expansion around the
-school barycenter. Steps decay linearly over the iteration budget.
+The school is stored as parallel arrays, one row per fish. ``School.accept``
+applies the individual movement's acceptance decisions; the leader-aware
+collective movements live in :mod:`wrfss.niching` and the weight feeding in
+:mod:`wrfss.constraint_handling`. Steps decay linearly over the iteration
+budget.
 
 Movement deltas are stored improvement-positive: ``delta_f`` is (old score -
 new score) under the active minimization objective, so a successful move has
@@ -13,46 +13,11 @@ a positive delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Evaluation, Problem, clamp, evaluate
-
-__all__ = [
-    "Fish",
-    "School",
-    "StepSchedule",
-    "individual_movement",
-    "feeding",
-    "collective_instinctive",
-    "collective_volitive",
-]
-
-BetterFn = Callable[[Evaluation, Evaluation], bool]
-
-
-@dataclass
-class Fish:
-    """One candidate solution with its cumulative-success weight."""
-
-    position: np.ndarray
-    weight: float
-    delta_x: np.ndarray
-    delta_f: float
-    evaluation: Evaluation
-
-    @classmethod
-    def at(cls, position: np.ndarray, weight: float, evaluation: Evaluation) -> "Fish":
-        position = np.asarray(position, dtype=float)
-        return cls(
-            position=position,
-            weight=weight,
-            delta_x=np.zeros_like(position),
-            delta_f=0.0,
-            evaluation=evaluation,
-        )
+__all__ = ["School", "StepSchedule"]
 
 
 @dataclass
@@ -146,110 +111,33 @@ class School:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def barycenter(self) -> np.ndarray:
-        return (self.positions * self.weights[:, None]).sum(axis=0) / self.weights.sum()
+    def accept(
+        self,
+        accepted: np.ndarray,
+        candidates: np.ndarray,
+        fitness: np.ndarray,
+        violation: np.ndarray,
+        gain: np.ndarray,
+    ) -> None:
+        """Move the accepted fish to their candidates and record the deltas.
 
-    def fish(self, i: int) -> Fish:
-        return Fish(
-            position=self.positions[i].copy(),
-            weight=float(self.weights[i]),
-            delta_x=self.delta_x[i].copy(),
-            delta_f=float(self.delta_f[i]),
-            evaluation=Evaluation(float(self.fitness[i]), float(self.violation[i])),
-        )
+        ``gain`` is the improvement (current score - candidate score) under
+        the active objective. A rejected fish keeps its position and
+        evaluation, with zero deltas.
+        """
+        self.delta_f = np.where(accepted, gain, 0.0)
+        self.delta_x = np.where(accepted[:, None], candidates - self.positions, 0.0)
+        self.positions = np.where(accepted[:, None], candidates, self.positions)
+        self.fitness = np.where(accepted, fitness, self.fitness)
+        self.violation = np.where(accepted, violation, self.violation)
 
+    def weight_gained(self) -> bool:
+        """Whether the total weight grew since the previous call.
 
-def individual_movement(
-    fish: Fish,
-    problem: Problem,
-    step_ind: float | np.ndarray,
-    better: BetterFn,
-    sar_alpha: float,
-    rng: np.random.Generator,
-    score: Callable[[Evaluation], float] | None = None,
-) -> Fish:
-    """Random local probe, accepted when it improves the active comparison.
-
-    The candidate is the current position plus a per-dimension uniform draw in
-    [-1, 1] scaled by ``step_ind``, clamped into the box. A non-improving
-    candidate is still accepted with probability ``sar_alpha`` (stagnation
-    avoidance). On rejection the fish keeps its position with zero deltas.
-
-    ``score`` maps an Evaluation to the scalar being minimized this iteration
-    and feeds ``delta_f``; it defaults to the fitness.
-    """
-    if sar_alpha < 0.0 or sar_alpha > 1.0:
-        raise ValueError(f"sar_alpha must lie in [0, 1], got {sar_alpha}")
-    if score is None:
-        score = lambda e: e.fitness
-    u = rng.uniform(-1.0, 1.0, fish.position.shape)
-    candidate = clamp(problem, fish.position + u * step_ind)
-    cand_eval = evaluate(problem, candidate)
-    accept = better(cand_eval, fish.evaluation)
-    if not accept:
-        accept = rng.random() < sar_alpha
-    if not accept:
-        return replace(
-            fish, delta_x=np.zeros_like(fish.position), delta_f=0.0
-        )
-    return Fish(
-        position=candidate,
-        weight=fish.weight,
-        delta_x=candidate - fish.position,
-        delta_f=score(fish.evaluation) - score(cand_eval),
-        evaluation=cand_eval,
-    )
-
-
-def feeding(school: School, w_scale: float, deltas: np.ndarray | None = None) -> School:
-    """Classic weight update: w += delta_f / max(|delta_f|), clipped to [1, w_scale].
-
-    With all deltas zero the weights are unchanged.
-    """
-    if school.size == 0:
-        raise ValueError("feeding requires at least one fish")
-    deltas = school.delta_f if deltas is None else np.asarray(deltas, dtype=float)
-    peak = np.abs(deltas).max()
-    if peak > 0.0:
-        school.weights = np.clip(school.weights + deltas / peak, 1.0, w_scale)
-    return school
-
-
-def collective_instinctive(school: School, problem: Problem) -> School:
-    """Drift every fish by the improvement-weighted mean displacement.
-
-    The drift is sum(delta_x * delta_f) / sum(delta_f); a zero delta sum means
-    no movement.
-    """
-    total = school.delta_f.sum()
-    if total != 0.0:
-        drift = (school.delta_x * school.delta_f[:, None]).sum(axis=0) / total
-        school.positions = clamp(problem, school.positions + drift)
-    return school
-
-
-def collective_volitive(
-    school: School,
-    problem: Problem,
-    step_vol: float | np.ndarray,
-    rng: np.random.Generator,
-) -> School:
-    """Contract toward the barycenter on weight gain, expand away otherwise.
-
-    Displacement per fish is step_vol * rand(0, 1) along the unit direction
-    from the barycenter, with the sign set by whether the school total weight
-    increased since the previous call. A fish exactly at the barycenter stays
-    put. Updates ``prev_total_weight``.
-    """
-    total = school.total_weight
-    b = school.barycenter()
-    diff = school.positions - b
-    dist = np.linalg.norm(diff, axis=1)
-    r = rng.random(school.positions.shape)
-    sign = -1.0 if total > school.prev_total_weight else 1.0
-    moving = dist > 0.0
-    if moving.any():
-        step = sign * step_vol * r[moving] * diff[moving] / dist[moving, None]
-        school.positions[moving] = clamp(problem, school.positions[moving] + step)
-    school.prev_total_weight = total
-    return school
+        Remembers the current total for the next call; the volitive movement
+        contracts on a gain and expands otherwise.
+        """
+        total = self.total_weight
+        gained = total > self.prev_total_weight
+        self.prev_total_weight = total
+        return gained

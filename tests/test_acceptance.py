@@ -17,8 +17,8 @@ from wrfss import cec2010
 from wrfss.cli import main as cli_main
 from wrfss.constraint_handling import (
     EpsilonSchedule,
-    deb_better,
-    epsilon_less,
+    best_index,
+    epsilon_less_arrays,
     initial_epsilon,
     normalized_feeding,
 )
@@ -26,7 +26,7 @@ from wrfss.engine import EngineParams, Variant, run
 from wrfss.gradient import ProbeConfig, forward_gradient
 from wrfss.harness import paper_preset, run_batch
 from wrfss.niching import LinkGraph, link_formator
-from wrfss.problem import Evaluation, Problem
+from wrfss.problem import Problem
 from wrfss.school import StepSchedule
 
 SEED_BASE = 20100
@@ -103,35 +103,51 @@ def test_criterion_04_c04_equality_hardness():
 def _random_evaluations(rng, n):
     fitness = rng.normal(size=n) * 10.0
     violation = np.where(rng.random(n) < 0.4, 0.0, rng.exponential(2.0, n))
-    return [Evaluation(float(f), float(v)) for f, v in zip(fitness, violation)]
+    return fitness, violation
+
+
+def _feasibility_rules(f1, v1, f2, v2):
+    """Deb's rules written out case by case: the oracle for eps = 0."""
+    feas1, feas2 = v1 == 0.0, v2 == 0.0
+    return np.where(feas1 & feas2, f1 < f2, np.where(feas1 != feas2, feas1, v1 < v2))
 
 
 def test_criterion_05_comparator_laws():
     rng = np.random.default_rng(97)
-    evs = _random_evaluations(rng, 400)
-    checked_pairs = 0
-    for _ in range(10_000):
-        a, b = (evs[i] for i in rng.integers(0, len(evs), 2))
-        assert epsilon_less(a, b, math.inf) == (a.fitness < b.fitness)
-        assert epsilon_less(a, b, 0.0) == deb_better(a, b)
-        if deb_better(a, b):
-            assert not deb_better(b, a)
-        checked_pairs += 1
-    checked_triples = 0
-    for _ in range(10_000):
-        a, b, c = (evs[i] for i in rng.integers(0, len(evs), 3))
-        assert not deb_better(a, a)
-        if deb_better(a, b) and deb_better(b, c):
-            assert deb_better(a, c)
-        if (
-            not deb_better(a, b) and not deb_better(b, a)
-            and not deb_better(b, c) and not deb_better(c, b)
-        ):
-            assert not deb_better(a, c) and not deb_better(c, a)
-        checked_triples += 1
+    fitness, violation = _random_evaluations(rng, 400)
+
+    def draw(k):
+        idx = rng.integers(0, fitness.size, (k, 10_000))
+        return [(fitness[i], violation[i]) for i in idx]
+
+    def better(x, y):
+        return epsilon_less_arrays(*x, *y, 0.0)
+
+    a, b = draw(2)
+    assert np.array_equal(epsilon_less_arrays(*a, *b, math.inf), a[0] < b[0])
+    assert np.array_equal(better(a, b), _feasibility_rules(*a, *b))
+    assert not (better(a, b) & better(b, a)).any()
+    checked_pairs = a[0].size
+
+    a, b, c = draw(3)
+    ab, ba, bc, cb, ac, ca = (
+        better(x, y) for x, y in ((a, b), (b, a), (b, c), (c, b), (a, c), (c, a))
+    )
+    assert not better(a, a).any()
+    assert not (ab & bc & ~ac).any()
+    assert not (~ab & ~ba & ~bc & ~cb & (ac | ca)).any()
+    checked_triples = a[0].size
+
+    # the engine's best of a school is never beaten under the same rules
+    populations = rng.integers(0, fitness.size, (1000, 30))
+    for idx in populations:
+        f, v = fitness[idx], violation[idx]
+        i = best_index(f, v)
+        assert not better((f, v), (f[i], v[i])).any()
     report(
         "criterion 05",
-        f"{checked_pairs} pairs and {checked_triples} triples, zero failures",
+        f"{checked_pairs} pairs, {checked_triples} triples and "
+        f"{len(populations)} best-of-school picks, zero failures",
     )
 
 
@@ -176,17 +192,17 @@ def test_criterion_08_gradient_checks():
         a = rng.normal(size=d) * rng.uniform(0.5, 5.0)
         b = float(rng.normal())
         x = rng.uniform(-3.0, 3.0, d)
-        grad = forward_gradient(lambda p: float(a @ p + b), x, 1e-3)
+        grad = forward_gradient(lambda P: P @ a + b, x, np.full(d, 1e-3))
         assert np.allclose(grad, a, rtol=1e-7, atol=1e-7)
 
     d = 5
     diag = rng.uniform(0.5, 2.0, d)
     x = rng.uniform(-1.0, 1.0, d)
-    quad = lambda p: float(0.5 * (diag * p * p).sum())
+    quad = lambda P: 0.5 * (diag * P * P).sum(axis=1)
     exact = diag * x
     errors = []
     for e in (1e-2, 1e-4, 1e-6):
-        errors.append(np.abs(forward_gradient(quad, x, e) - exact).max())
+        errors.append(np.abs(forward_gradient(quad, x, np.full(d, e)) - exact).max())
     for worse, better in zip(errors, errors[1:]):
         ratio = worse / better
         assert 50.0 <= ratio <= 200.0, f"error ratio {ratio} not within 2x of 100"

@@ -63,6 +63,23 @@ class TestRunCommand:
             run_cli(["run", "--problem", "C01", "--variant", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, ini", [
+        (["--sar-alpha0", "1.5"], ""),
+        (["--sar-decay", "-1.0"], ""),
+        ([], "[engine]\nsar_alpha0 = 1.5\nsar_decay = -1.0\n"),
+    ])
+    def test_bad_engine_parameter_is_usage_error(self, tmp_path, capsys, flags, ini):
+        args = ["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
+                "--out", str(tmp_path / "x")] + flags
+        if ini:
+            (tmp_path / "exp.ini").write_text(ini)
+            args += ["--config", str(tmp_path / "exp.ini")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert "sar_" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_problem_is_runtime_error(self, tmp_path, capsys):
         code = run_cli([
             "run", "--problem", "C99", "--variant", "wrfss",

@@ -7,106 +7,112 @@ from wrfss.constraint_handling import (
     EpsilonSchedule,
     RunningExtremes,
     best_index,
-    deb_better,
-    epsilon_leq,
-    epsilon_less,
     epsilon_less_arrays,
     initial_epsilon,
     normalized_feeding,
-    penalized_fitness,
 )
-from wrfss.problem import Evaluation
+from wrfss.engine import Variant, _active_objective
 
 
-def ev(f, v):
-    return Evaluation(float(f), float(v))
+def pairs(*items):
+    """(fitness, violation) arrays from (f, v) tuples."""
+    f, v = np.array(items, dtype=float).T
+    return f, v
 
 
-def random_evaluations(rng, n, feasible_share=0.4):
-    out = []
-    for _ in range(n):
-        f = rng.normal() * 10
-        v = 0.0 if rng.random() < feasible_share else float(rng.exponential(2.0))
-        out.append(ev(f, v))
-    return out
+def random_pairs(rng, n, feasible_share=0.4):
+    f = rng.normal(size=n) * 10
+    v = np.where(rng.random(n) < feasible_share, 0.0, rng.exponential(2.0, n))
+    return f, v
+
+
+def feasibility_rules(f1, v1, f2, v2):
+    """Deb's rules written out case by case, as the oracle for eps = 0."""
+    feas1, feas2 = v1 == 0.0, v2 == 0.0
+    return np.where(feas1 & feas2, f1 < f2, np.where(feas1 != feas2, feas1, v1 < v2))
+
+
+def better(a, b):
+    """The engine's comparison at zero tolerance, i.e. the feasibility rules."""
+    return epsilon_less_arrays(*a, *b, 0.0)
+
+
+def epsilon_less_oracle(a, b, eps):
+    """The epsilon rule for one pair of (f, v) tuples, written out."""
+    if (a[1] <= eps and b[1] <= eps) or a[1] == b[1]:
+        return a[0] < b[0]
+    return a[1] < b[1]
 
 
 class TestDebBetter:
     def test_feasible_beats_infeasible(self):
-        assert deb_better(ev(9, 0), ev(1, 0.1))
+        assert better(pairs((9, 0)), pairs((1, 0.1))).all()
 
     def test_feasible_pair_compares_fitness(self):
-        assert deb_better(ev(1, 0), ev(2, 0))
-        assert not deb_better(ev(2, 0), ev(1, 0))
+        assert better(pairs((1, 0)), pairs((2, 0))).all()
+        assert not better(pairs((2, 0)), pairs((1, 0))).any()
 
     def test_infeasible_pair_compares_violation(self):
-        assert deb_better(ev(9, 2), ev(1, 5))
+        assert better(pairs((9, 2)), pairs((1, 5))).all()
 
     def test_ties_are_not_better(self):
-        assert not deb_better(ev(1, 0), ev(1, 0))
-        assert not deb_better(ev(3, 2), ev(5, 2))
+        assert not better(pairs((1, 0)), pairs((1, 0))).any()
+        assert not better(pairs((3, 2)), pairs((3, 2))).any()
 
     def test_strict_weak_order(self):
         rng = np.random.default_rng(17)
-        evs = random_evaluations(rng, 60)
-        for a in evs:
-            assert not deb_better(a, a)
-        for _ in range(3000):
-            a, b, c = (evs[i] for i in rng.integers(0, len(evs), 3))
-            if deb_better(a, b):
-                assert not deb_better(b, a)
-            if deb_better(a, b) and deb_better(b, c):
-                assert deb_better(a, c)
-            # incomparability is transitive as well
-            if (
-                not deb_better(a, b) and not deb_better(b, a)
-                and not deb_better(b, c) and not deb_better(c, b)
-            ):
-                assert not deb_better(a, c) and not deb_better(c, a)
+        pool = random_pairs(rng, 60)
+        assert not better(pool, pool).any()
+        a, b, c = (tuple(x[i] for x in pool) for i in rng.integers(0, 60, (3, 3000)))
+        ab, ba, bc, cb, ac, ca = (
+            better(x, y) for x, y in ((a, b), (b, a), (b, c), (c, b), (a, c), (c, a))
+        )
+        assert not (ab & ba).any()
+        assert not (ab & bc & ~ac).any()
+        # incomparability is transitive as well
+        assert not (~ab & ~ba & ~bc & ~cb & (ac | ca)).any()
 
 
 class TestEpsilonComparison:
     def test_infinite_epsilon_is_fitness_order(self):
         rng = np.random.default_rng(23)
-        for a, b in zip(random_evaluations(rng, 300), random_evaluations(rng, 300)):
-            assert epsilon_less(a, b, math.inf) == (a.fitness < b.fitness)
+        a, b = random_pairs(rng, 300), random_pairs(rng, 300)
+        assert np.array_equal(epsilon_less_arrays(*a, *b, math.inf), a[0] < b[0])
 
     def test_zero_epsilon_matches_feasibility_rules(self):
         # continuous violations: exact positive ties do not occur
         rng = np.random.default_rng(29)
-        for a, b in zip(random_evaluations(rng, 500), random_evaluations(rng, 500)):
-            assert epsilon_less(a, b, 0.0) == deb_better(a, b)
+        a, b = random_pairs(rng, 500), random_pairs(rng, 500)
+        assert np.array_equal(better(a, b), feasibility_rules(*a, *b))
 
     def test_within_band_fitness_decides(self):
         # both violations within eps=1 -> fitness wins
-        assert epsilon_less(ev(2, 0.9), ev(3, 0.5), 1.0)
-        assert not epsilon_less(ev(3, 0.5), ev(2, 0.9), 1.0)
+        assert epsilon_less_arrays(*pairs((2, 0.9)), *pairs((3, 0.5)), 1.0).all()
+        assert not epsilon_less_arrays(*pairs((3, 0.5)), *pairs((2, 0.9)), 1.0).any()
 
     def test_outside_band_violation_decides(self):
-        assert epsilon_less(ev(9, 0.5), ev(1, 3.0), 1.0)
+        assert epsilon_less_arrays(*pairs((9, 0.5)), *pairs((1, 3.0)), 1.0).all()
 
     def test_equal_violations_fitness_decides(self):
-        assert epsilon_less(ev(1, 2.0), ev(5, 2.0), 0.5)
+        assert epsilon_less_arrays(*pairs((1, 2.0)), *pairs((5, 2.0)), 0.5).all()
 
     def test_non_strict_variant(self):
-        assert epsilon_leq(ev(1, 0.2), ev(1, 0.3), 1.0)
-        assert not epsilon_less(ev(1, 0.2), ev(1, 0.3), 1.0)
-        assert epsilon_leq(ev(4, 2.0), ev(4, 2.0), 0.0)
+        # a <= b under the rule is "b does not beat a"
+        def leq(x, y, eps):
+            return not epsilon_less_arrays(*pairs(y), *pairs(x), eps).any()
+
+        assert leq((1, 0.2), (1, 0.3), 1.0)
+        assert not epsilon_less_arrays(*pairs((1, 0.2)), *pairs((1, 0.3)), 1.0).any()
+        assert leq((4, 2.0), (4, 2.0), 0.0)
+        assert not leq((1, 0.5), (1, 0.2), 0.3)
 
     def test_array_form_matches_scalar(self):
         rng = np.random.default_rng(31)
-        a = random_evaluations(rng, 200)
-        b = random_evaluations(rng, 200)
+        a, b = random_pairs(rng, 200), random_pairs(rng, 200)
         for eps in (0.0, 0.7, math.inf):
-            got = epsilon_less_arrays(
-                np.array([x.fitness for x in a]),
-                np.array([x.violation for x in a]),
-                np.array([x.fitness for x in b]),
-                np.array([x.violation for x in b]),
-                eps,
-            )
-            expected = np.array([epsilon_less(x, y, eps) for x, y in zip(a, b)])
-            assert np.array_equal(got, expected)
+            got = epsilon_less_arrays(*a, *b, eps)
+            expected = [epsilon_less_oracle(x, y, eps) for x, y in zip(zip(*a), zip(*b))]
+            assert got.tolist() == expected
 
 
 class TestEpsilonSchedule:
@@ -171,16 +177,24 @@ class TestInitialEpsilon:
 
 
 class TestPenalizedFitness:
+    """The penalty variant's phase-2 objective: fitness + violation."""
+
+    @staticmethod
+    def penalized(f, v):
+        return _active_objective(np.asarray(f, float), np.asarray(v, float), 2, Variant("penalty"))
+
     def test_feasible_unchanged(self):
-        assert penalized_fitness(ev(1.0, 0.0)) == 1.0
+        assert self.penalized([1.0], [0.0]).tolist() == [1.0]
 
     def test_hand_value(self):
-        assert penalized_fitness(ev(1.0, 2.5)) == 3.5
+        assert self.penalized([1.0], [2.5]).tolist() == [3.5]
+        # phase 1 still minimizes the violation alone
+        assert _active_objective(np.array([1.0]), np.array([2.5]), 1, Variant("penalty")) == 2.5
 
     def test_preserves_feasible_order(self):
         rng = np.random.default_rng(37)
         fits = rng.normal(size=50)
-        penalized = [penalized_fitness(ev(f, 0.0)) for f in fits]
+        penalized = self.penalized(fits, np.zeros(50))
         assert np.array_equal(np.argsort(fits), np.argsort(penalized))
 
 
@@ -220,6 +234,12 @@ def test_best_index_follows_feasibility_rules():
     assert best_index(f, v) == 2  # best fitness among feasible
     v_all = np.array([3.0, 2.0, 4.0, 1.0])
     assert best_index(f, v_all) == 3  # least violation when none feasible
+    # no member of a random population beats the chosen one
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        f, v = random_pairs(rng, int(rng.integers(1, 12)))
+        i = best_index(f, v)
+        assert not feasibility_rules(f, v, f[i], v[i]).any()
 
 
 def test_running_extremes():

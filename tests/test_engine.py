@@ -249,6 +249,29 @@ class TestRun:
         assert rec.aborted
         assert rec.trace_iteration.size >= 1
 
+    def test_aborted_gradient_run_counts_completed_calls(self):
+        # every fish probes; the third probe of the second iteration fails,
+        # and the counts cover exactly the calls that returned before it
+        d, n = 3, 6
+        done = {"rows": 0, "probes": 0}
+
+        def objective(x):
+            if x.shape[0] == d + 1 and done["probes"] == n + 2:
+                return np.full(x.shape[0], np.nan)
+            done["rows"] += x.shape[0]
+            done["probes"] += x.shape[0] == d + 1
+            return (x**2).sum(axis=-1)
+
+        problem = Problem(
+            dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
+            objective=objective, inequalities=(lambda x: x[:, 0] - 1.0,), vectorized=True,
+        )
+        variant = Variant("gradient", probe=ProbeConfig(k_directions=4, p_g=1.0))
+        rec = run(problem, variant, EngineParams(n_fish=n, iterations=50), seed=5)
+        assert rec.aborted
+        assert rec.probe_count == n + 2
+        assert rec.eval_count == done["rows"]
+
     def test_observer_sees_every_iteration(self):
         seen = []
         problem = sphere()

@@ -1,29 +1,34 @@
 import numpy as np
 import pytest
 
-from wrfss.gradient import ProbeConfig, forward_gradient, pick_direction, probe_move
-from wrfss.problem import Evaluation, Problem, evaluate
-from wrfss.school import Fish, individual_movement
+from wrfss.engine import _probe_candidates
+from wrfss.gradient import ProbeConfig, forward_gradient, pick_direction
+from wrfss.problem import Problem, evaluate_many
+from wrfss.school import School
 
 
 def box(d, lo=-100.0, hi=100.0, **kw):
-    return Problem(dimension=d, lower=np.full(d, lo), upper=np.full(d, hi), **kw)
+    return Problem(dimension=d, lower=np.full(d, lo), upper=np.full(d, hi), vectorized=True, **kw)
+
+
+def rows_of(fn):
+    """Row function evaluating a per-point function on each row."""
+    return lambda pts: np.array([fn(p) for p in pts])
 
 
 class TestForwardGradient:
     def test_linear_function_exact(self):
-        fn = lambda x: 2.0 * x[0] + 3.0 * x[1]
-        grad = forward_gradient(fn, np.array([5.0, -7.0]), 1e-3)
+        grad = forward_gradient(lambda P: P @ [2.0, 3.0], np.array([5.0, -7.0]), np.full(2, 1e-3))
         assert grad == pytest.approx([2.0, 3.0], rel=1e-9)
 
     def test_quadratic_truncation_by_hand(self):
         # ((1+e)^2 - 1) / e = 2 + e
-        fn = lambda x: x[0] ** 2
-        grad = forward_gradient(fn, np.array([1.0]), 1e-3)
+        grad = forward_gradient(lambda P: P[:, 0] ** 2, np.array([1.0]), np.array([1e-3]))
         assert grad[0] == pytest.approx(2.001, rel=1e-9)
 
     def test_constant_function_zero(self):
-        grad = forward_gradient(lambda x: 4.2, np.array([1.0, 2.0, 3.0]), 1e-4)
+        grad = forward_gradient(lambda P: np.full(len(P), 4.2), np.array([1.0, 2.0, 3.0]),
+                                np.full(3, 1e-4))
         assert np.all(grad == 0.0)
 
     def test_random_affine_exact(self):
@@ -33,18 +38,22 @@ class TestForwardGradient:
             a = rng.normal(size=d)
             b = rng.normal()
             x = rng.uniform(-5, 5, d)
-            grad = forward_gradient(lambda p: float(a @ p + b), x, 1e-3)
+            grad = forward_gradient(rows_of(lambda p: float(a @ p + b)), x, np.full(d, 1e-3))
             assert np.allclose(grad, a, rtol=1e-8, atol=1e-8)
 
     def test_cost_is_dimension_plus_one(self):
-        calls = {"n": 0}
+        calls = []
 
-        def fn(x):
-            calls["n"] += 1
-            return float(np.sum(x))
+        def fn(P):
+            calls.append(P.copy())
+            return P.sum(axis=1)
 
-        forward_gradient(fn, np.zeros(6), 1e-3)
-        assert calls["n"] == 7
+        x = np.arange(6.0)
+        e = np.linspace(1e-3, 6e-3, 6)
+        forward_gradient(fn, x, e)
+        # one batch of D+1 rows: x itself, then x with one coordinate shifted
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.vstack([x, x + np.diag(e)]))
 
     def test_error_scales_linearly_with_perturbation(self):
         # on a quadratic the forward-difference error per component is e*A_jj/2
@@ -52,17 +61,16 @@ class TestForwardGradient:
         d = 4
         diag = rng.uniform(0.5, 2.0, d)
         x = rng.uniform(-1, 1, d)
-        fn = lambda p: float(0.5 * (diag * p * p).sum())
+        fn = lambda P: 0.5 * (diag * P * P).sum(axis=1)
         exact = diag * x
         errors = []
         for e in (1e-2, 1e-4):
-            errors.append(np.abs(forward_gradient(fn, x, e) - exact).max())
+            errors.append(np.abs(forward_gradient(fn, x, np.full(d, e)) - exact).max())
         ratio = errors[0] / errors[1]
         assert ratio == pytest.approx(100.0, rel=0.5)
 
     def test_vector_perturbation(self):
-        fn = lambda x: 2.0 * x[0] + 3.0 * x[1]
-        grad = forward_gradient(fn, np.zeros(2), np.array([1e-2, 1e-5]))
+        grad = forward_gradient(lambda P: P @ [2.0, 3.0], np.zeros(2), np.array([1e-2, 1e-5]))
         assert grad == pytest.approx([2.0, 3.0], rel=1e-8)
 
 
@@ -112,57 +120,68 @@ class TestPickDirection:
 
 
 class TestProbeMove:
-    @staticmethod
-    def better(a, b):
-        return a.violation < b.violation
+    """The engine's probe-gated candidates, accepted through School.accept."""
 
-    def make_fish(self, problem, position):
-        return Fish.at(np.asarray(position, float), 5.0, evaluate(problem, position))
+    @staticmethod
+    def candidates(problem, positions, phase, step, config, rng):
+        calls = []
+
+        def violation_rows(rows):
+            calls.append(rows.shape[0])
+            return evaluate_many(problem, rows)[1]
+
+        out = _probe_candidates(
+            violation_rows, np.asarray(positions, float), phase, np.full(problem.dimension, step),
+            config, config.resolve_perturbation(problem), rng, problem.lower, problem.upper,
+        )
+        return out, calls
 
     def test_zero_probability_matches_plain_move(self):
-        problem = box(3, objective=lambda x: float(np.sum(x**2)))
-        fish = self.make_fish(problem, [1.0, 2.0, 3.0])
+        problem = box(3, objective=lambda x: (x**2).sum(axis=-1))
+        positions = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]])
         config = ProbeConfig(k_directions=5, p_g=0.0)
-        better = lambda a, b: a.fitness < b.fitness
-        plain = individual_movement(
-            fish, problem, 0.5, better, 0.0, np.random.default_rng(77)
-        )
-        probed = probe_move(
-            fish, problem, 1, 0.5, config, np.random.default_rng(77), better, 0.0
-        )
-        assert np.array_equal(plain.position, probed.position)
-        assert plain.delta_f == probed.delta_f
+        out, calls = self.candidates(problem, positions, 1, 0.5, config,
+                                     np.random.default_rng(77))
+        assert calls == []
+        # after the gate draws, each fish takes the plain uniform step
+        twin = np.random.default_rng(77)
+        twin.random(2)
+        for i in range(2):
+            assert np.array_equal(out[i], positions[i] + twin.uniform(-1.0, 1.0, 3) * 0.5)
 
     def test_probe_descends_linear_violation(self):
         # violation decreasing in x0: the probe should step toward lower x0
         problem = box(
             2,
-            objective=lambda x: 0.0,
-            inequalities=(lambda x: x[0] + 50.0,),  # g > 0 over most of the box
+            objective=lambda x: np.zeros(len(x)),
+            inequalities=(lambda x: x[:, 0] + 50.0,),  # g > 0 over most of the box
         )
-        fish = self.make_fish(problem, [10.0, 0.0])
+        school = School.initial(np.array([[10.0, 0.0]]), *evaluate_many(problem, [[10.0, 0.0]]), 10.0)
         config = ProbeConfig(k_directions=64, p_g=1.0)
-        rng = np.random.default_rng(13)
-        moved = probe_move(
-            fish, problem, 1, 5.0, config, rng, self.better, 0.0,
-            score=lambda ev: ev.violation,
-        )
+        cand, calls = self.candidates(problem, school.positions, 1, 5.0, config,
+                                      np.random.default_rng(13))
+        assert calls == [3]  # one probe of D+1 rows
+        cand_f, cand_v = evaluate_many(problem, cand)
         # with many sampled directions the chosen one points down in x0
-        assert moved.position[0] < fish.position[0]
-        assert moved.evaluation.violation < fish.evaluation.violation
-        assert moved.delta_f > 0.0
+        assert cand[0, 0] < 10.0
+        assert cand_v[0] < school.violation[0]
+        school.accept(cand_v < school.violation, cand, cand_f, cand_v, school.violation - cand_v)
+        assert np.array_equal(school.positions, cand)
+        assert school.delta_f[0] > 0.0
 
     def test_rejection_keeps_position_and_zero_deltas(self):
         # violation already zero everywhere: no candidate can improve
-        problem = box(2, objective=lambda x: 0.0)
-        fish = self.make_fish(problem, [1.0, 1.0])
+        problem = box(2, objective=lambda x: np.zeros(len(x)))
+        start = np.array([[1.0, 1.0], [-2.0, 3.0]])
+        school = School.initial(start, *evaluate_many(problem, start), 10.0)
         config = ProbeConfig(k_directions=4, p_g=1.0)
-        moved = probe_move(
-            fish, problem, 1, 0.5, config, np.random.default_rng(5), self.better, 0.0
-        )
-        assert np.array_equal(moved.position, fish.position)
-        assert moved.delta_f == 0.0
-        assert np.all(moved.delta_x == 0.0)
+        cand, calls = self.candidates(problem, start, 1, 0.5, config, np.random.default_rng(5))
+        assert calls == [3, 3]
+        cand_f, cand_v = evaluate_many(problem, cand)
+        school.accept(cand_v < school.violation, cand, cand_f, cand_v, school.violation - cand_v)
+        assert np.array_equal(school.positions, start)
+        assert np.all(school.delta_f == 0.0)
+        assert np.all(school.delta_x == 0.0)
 
     def test_paper_scale_configuration_accepted(self):
         config = ProbeConfig(k_directions=200, p_g=0.10)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wrfss.cec2010 import PROBLEM_IDS
+from wrfss.cec2010 import PROBLEM_IDS, BenchDataError
 from wrfss.engine import RunRecord
 from wrfss.harness import (
     VARIANT_NAMES,
@@ -155,6 +155,13 @@ class TestRunBatch:
         assert stats_seq == stats_par
         for a, b in zip(rec_seq, rec_par):
             assert np.array_equal(a.trace_best_fitness, b.trace_best_fitness)
+        seq = emit_reports(config, stats_seq, rec_seq, out_dir=tmp_path / "seq")
+        par = emit_reports(config, stats_par, rec_par, out_dir=tmp_path / "par")
+        assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == sorted(
+            p.name for p in (tmp_path / "par").iterdir()
+        )
+        for key in seq:
+            assert seq[key].read_bytes() == par[key].read_bytes(), key
 
     def test_custom_problem_and_failures_reported(self, tmp_path):
         calls = {"n": 0}
@@ -237,6 +244,30 @@ class TestReports:
         stats2, _ = run_batch(restored)
         assert stats2 == stats
 
+    def test_data_source_errors(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path, run_count=1)
+        stats, records = run_batch(config)
+
+        def fail_with(exc):
+            def resolved_data_source(self):
+                raise exc
+            monkeypatch.setattr(ExperimentConfig, "resolved_data_source", resolved_data_source)
+
+        # unreadable benchmark data is reported, not fatal
+        fail_with(BenchDataError("missing benchmark data file: C01.txt"))
+        paths = emit_reports(config, stats, records)
+        assert json.loads(paths["summary_json"].read_text())["data_source"] == "unavailable"
+        # any other error propagates
+        fail_with(RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            emit_reports(config, stats, records)
+        # a problem outside the benchmark set has no data source to resolve
+        custom = tiny_config(tmp_path, run_count=1, problem_id="custom")
+        paths = emit_reports(custom, stats, records)
+        data = json.loads(paths["summary_json"].read_text())
+        assert data["data_source"] == "unavailable"
+        assert data["reference_fitness"] == {}
+
     def test_unusable_output_path_rejected_upfront(self, tmp_path):
         # a plain file where the directory should go fails before any run
         blocked = tmp_path / "blocked"
@@ -304,3 +335,8 @@ def test_config_validation():
         ExperimentConfig(problem_id="C01", variant="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(problem_id="C01", variant="wrfss", run_count=0)
+    # engine and probe parameters are checked when the config is built
+    with pytest.raises(ValueError, match="sar_alpha0"):
+        ExperimentConfig(problem_id="C01", variant="wrfss", sar_alpha0=1.5)
+    with pytest.raises(ValueError, match="p_g"):
+        ExperimentConfig(problem_id="C01", variant="wrfssg", p_g=2.0)

@@ -3,28 +3,25 @@ import pytest
 
 from wrfss.niching import (
     LinkGraph,
-    instinctive_with_leader,
+    leader_instinctive_step,
+    leader_volitive_step,
     link_formator,
-    volitive_with_leader,
 )
-from wrfss.problem import Evaluation, Problem
-from wrfss.school import Fish
+
+LO, HI = -100.0, 100.0
 
 
-def box(d=1, lo=-100.0, hi=100.0):
-    return Problem(
-        dimension=d, lower=np.full(d, lo), upper=np.full(d, hi), objective=lambda x: 0.0
+def instinctive(positions, delta_x, delta_f, leader, rho, lo=LO, hi=HI):
+    return leader_instinctive_step(
+        np.asarray(positions, float), np.asarray(delta_x, float), np.asarray(delta_f, float),
+        LinkGraph(leader=np.asarray(leader)), rho, lo, hi,
     )
 
 
-def fish(position, weight=1.0, delta_x=None, delta_f=0.0):
-    position = np.asarray(position, dtype=float)
-    return Fish(
-        position=position,
-        weight=float(weight),
-        delta_x=np.zeros_like(position) if delta_x is None else np.asarray(delta_x, float),
-        delta_f=float(delta_f),
-        evaluation=Evaluation(0.0, 0.0),
+def volitive(positions, weights, leader, step_vol, gained, draws, lo=LO, hi=HI):
+    return leader_volitive_step(
+        np.asarray(positions, float), np.asarray(weights, float),
+        LinkGraph(leader=np.asarray(leader)), step_vol, gained, draws, lo, hi,
     )
 
 
@@ -116,86 +113,70 @@ class TestLinkFormator:
 
 class TestInstinctiveWithLeader:
     def test_no_leader_reduces_to_own_delta(self):
-        f = fish([0.0, 0.0], delta_x=[1.0, 2.0], delta_f=2.0)
-        disp = instinctive_with_leader(f, None, rho=1.0)
-        assert np.allclose(disp, [1.0, 2.0])
+        out = instinctive([[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0], [-1.0, 0.5]], [2.0, 0.5],
+                          [-1, -1], rho=1.0)
+        assert np.allclose(out, [[1.0, 2.0], [0.0, 1.5]])
 
     def test_leader_mix_hand_value(self):
-        f = fish([0.0], delta_x=[1.0], delta_f=1.0)
-        lead = fish([9.0], delta_x=[3.0], delta_f=1.0)
-        disp = instinctive_with_leader(f, lead, rho=1.0)
-        # (1*1 + 3*1) / (1 + 1) = 2
-        assert np.allclose(disp, [2.0])
+        # fish 0 follows fish 1: (1*1 + 3*1) / (1 + 1) = 2
+        out = instinctive([[0.0], [9.0]], [[1.0], [3.0]], [1.0, 1.0], [1, -1], rho=1.0)
+        assert np.allclose(out[0], [2.0])
 
     def test_rho_zero_freezes(self):
-        f = fish([0.0], delta_x=[1.0], delta_f=1.0)
-        lead = fish([9.0], delta_x=[3.0], delta_f=1.0)
-        assert np.allclose(instinctive_with_leader(f, lead, rho=0.0), [0.0])
+        positions = [[0.0], [9.0]]
+        out = instinctive(positions, [[1.0], [3.0]], [1.0, 1.0], [1, -1], rho=0.0)
+        assert np.array_equal(out, positions)
 
     def test_zero_denominator_guard(self):
-        f = fish([0.0], delta_x=[1.0], delta_f=0.0)
-        assert np.allclose(instinctive_with_leader(f, None, rho=0.7), [0.0])
-        lead = fish([9.0], delta_x=[3.0], delta_f=0.0)
-        assert np.allclose(instinctive_with_leader(f, lead, rho=0.7), [0.0])
+        # own delta_f 0 without a leader, and deltas that cancel with the leader
+        out = instinctive([[0.0], [9.0], [4.0]], [[1.0], [3.0], [2.0]], [0.0, -1.0, 1.0],
+                          [-1, -1, 1], rho=0.7)
+        assert out[0, 0] == 0.0
+        assert out[2, 0] == 4.0
 
     def test_rho_validated(self):
-        with pytest.raises(ValueError):
-            instinctive_with_leader(fish([0.0]), None, rho=1.5)
+        for rho in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                instinctive([[0.0]], [[0.0]], [0.0], [-1], rho=rho)
 
 
 class TestVolitiveWithLeader:
     def test_leaderless_fish_does_not_move(self):
-        problem = box(2)
-        f = fish([3.0, 4.0], weight=2.0)
-        out = volitive_with_leader(f, None, problem, 0.5, True, np.random.default_rng(0))
-        assert np.array_equal(out, [3.0, 4.0])
+        positions = [[3.0, 4.0], [0.0, 0.0]]
+        out = volitive(positions, [2.0, 5.0], [-1, -1], 0.5, True, np.ones((2, 2)))
+        assert np.array_equal(out, positions)
 
     def test_pair_barycenter_hand_value(self):
-        problem = box(1)
-
-        class Ones:
-            def random(self, size=None):
-                return np.ones(size) if size is not None else 1.0
-
-        f = fish([0.0], weight=1.0)
-        lead = fish([3.0], weight=2.0)
-        # pair barycenter (0*1 + 3*2) / 3 = 2; attract: 0 - 0.5*1*(0-2)/2 = 0.5
-        out = volitive_with_leader(f, lead, problem, 0.5, True, Ones())
-        assert np.allclose(out, [0.5])
+        # fish 0 follows fish 1; pair barycenter (0*1 + 3*2) / 3 = 2;
+        # attract: 0 - 0.5*1*(0-2)/2 = 0.5, and the leader stays
+        out = volitive([[0.0], [3.0]], [1.0, 2.0], [1, -1], 0.5, True, np.ones((2, 1)))
+        assert np.allclose(out, [[0.5], [3.0]])
         # spread moves the other way
-        out = volitive_with_leader(f, lead, problem, 0.5, False, Ones())
-        assert np.allclose(out, [-0.5])
+        out = volitive([[0.0], [3.0]], [1.0, 2.0], [1, -1], 0.5, False, np.ones((2, 1)))
+        assert np.allclose(out, [[-0.5], [3.0]])
 
     def test_fish_at_pair_barycenter_stays(self):
-        problem = box(1)
-        f = fish([2.0], weight=1.0)
-        lead = fish([2.0], weight=5.0)
-        out = volitive_with_leader(f, lead, problem, 0.5, True, np.random.default_rng(1))
-        assert np.array_equal(out, [2.0])
+        draws = np.random.default_rng(1).random((2, 1))
+        out = volitive([[2.0], [2.0]], [1.0, 5.0], [1, -1], 0.5, True, draws)
+        assert np.array_equal(out, [[2.0], [2.0]])
 
     def test_result_clamped(self):
-        problem = box(1, lo=-1.0, hi=1.0)
-
-        class Ones:
-            def random(self, size=None):
-                return np.ones(size) if size is not None else 1.0
-
-        f = fish([1.0], weight=1.0)
-        lead = fish([-1.0], weight=1.0)
-        out = volitive_with_leader(f, lead, problem, 5.0, False, Ones())
-        assert out[0] == 1.0
+        out = volitive([[1.0], [-1.0]], [1.0, 1.0], [1, -1], 5.0, False, np.ones((2, 1)),
+                       lo=-1.0, hi=1.0)
+        assert out[0, 0] == 1.0
 
 
 def test_empty_linkgraph_reproduces_base_behavior():
-    # with no links: instinctive displacement is the fish's own ramped delta,
-    # volitive never moves anyone
-    problem = box(2)
+    # with no links: the instinctive drift is each fish's own ramped delta,
+    # and the volitive move leaves everyone in place
     rng = np.random.default_rng(3)
     for _ in range(20):
-        f = fish(rng.uniform(-5, 5, 2), weight=2.0,
-                 delta_x=rng.normal(size=2), delta_f=abs(rng.normal()) + 0.1)
+        positions = rng.uniform(-5, 5, (4, 2))
+        delta_x = rng.normal(size=(4, 2))
+        delta_f = np.abs(rng.normal(size=4)) + 0.1
         rho = rng.random()
-        assert np.allclose(instinctive_with_leader(f, None, rho), rho * f.delta_x)
-        assert np.array_equal(
-            volitive_with_leader(f, None, problem, 0.5, True, rng), f.position
-        )
+        empty = [-1] * 4
+        out = instinctive(positions, delta_x, delta_f, empty, rho)
+        assert np.allclose(out, positions + rho * delta_x)
+        out = volitive(positions, np.full(4, 2.0), empty, 0.5, True, rng.random((4, 2)))
+        assert np.array_equal(out, positions)

@@ -5,7 +5,6 @@ from wrfss.problem import (
     Evaluation,
     EvaluationError,
     Problem,
-    clamp,
     evaluate,
     evaluate_many,
     relax_equalities,
@@ -115,19 +114,6 @@ def test_evaluation_error_carries_constraint_index():
         evaluate(p2, [0.0])
     assert err2.value.kind == "objective"
     assert err2.value.index is None
-
-
-def test_clamp_projects_and_is_idempotent():
-    p = box(10, 0, 10, objective=lambda x: 0.0)
-    x = np.full(10, 5.0)
-    x[3] = 12.0
-    clamped = clamp(p, x)
-    assert clamped[3] == 10.0
-    assert np.array_equal(clamp(p, clamped), clamped)
-    # interior and boundary points are fixed points
-    interior = np.full(10, 5.0)
-    assert np.array_equal(clamp(p, interior), interior)
-    assert np.array_equal(clamp(p, p.lower), p.lower)
 
 
 def test_relax_equalities_structure_and_boundary():
