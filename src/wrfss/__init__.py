@@ -14,7 +14,7 @@ from .constraint_handling import (
     normalized_feeding,
 )
 from .engine import EngineParams, PhaseController, RunRecord, Variant, decide_phase, run
-from .gradient import ProbeConfig, forward_gradient, pick_direction
+from .gradient import forward_gradient, pick_direction
 from .niching import LinkGraph, leader_instinctive_step, leader_volitive_step, link_formator
 from .problem import Evaluation, EvaluationError, Problem, evaluate, evaluate_many, relax_equalities
 from .school import School, StepSchedule
@@ -40,7 +40,6 @@ __all__ = [
     "EpsilonSchedule",
     "initial_epsilon",
     "normalized_feeding",
-    "ProbeConfig",
     "forward_gradient",
     "pick_direction",
     "Variant",

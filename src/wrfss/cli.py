@@ -18,28 +18,13 @@ from pathlib import Path
 
 from . import cec2010, harness
 
-_OVERRIDE_FLAGS = [
-    # (flag, ExperimentConfig field, type)
-    ("--iterations", "iterations", int),
-    ("--n-fish", "n_fish", int),
-    ("--sigma", "sigma", float),
-    ("--tau", "tau", float),
-    ("--w-scale", "w_scale", float),
-    ("--step-ind-initial", "step_ind_initial", float),
-    ("--step-ind-final", "step_ind_final", float),
-    ("--step-vol-initial", "step_vol_initial", float),
-    ("--step-vol-final", "step_vol_final", float),
-    ("--sar-alpha0", "sar_alpha0", float),
-    ("--sar-decay", "sar_decay", float),
-    ("--tc-fraction", "tc_fraction", float),
-    ("--cp-min", "cp_min", float),
-    ("--epsilon0", "epsilon0", float),
-    ("--p-g", "p_g", float),
-    ("--k-directions", "k_directions", int),
-    ("--perturbation", "perturbation", float),
-    ("--delta", "delta", float),
-    ("--violation-exponent", "violation_exponent", float),
-]
+# ExperimentConfig fields set through the selection flags (--problem,
+# --variant, --runs, --seed/--base-seed, --out, --data-dir, --data-source).
+# Every other field has an override flag: "--" + its name with dashes.
+_SELECTION_FIELDS = {
+    "problem_id", "variant", "run_count", "base_seed", "output_dir", "data_dir", "data_source",
+}
+_OVERRIDE_FIELDS = [name for name in harness.FIELD_TYPES if name not in _SELECTION_FIELDS]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -59,8 +44,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="where shift/rotation data comes from (default: files if a directory is known, else surrogate)",
     )
     sub.add_argument("--out", help="output directory")
-    for flag, _, typ in _OVERRIDE_FLAGS:
-        sub.add_argument(flag, type=typ)
+    for name in _OVERRIDE_FIELDS:
+        sub.add_argument("--" + name.replace("_", "-"), type=harness.FIELD_TYPES[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,10 +100,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         kwargs["data_dir"] = args.data_dir
     if args.data_source:
         kwargs["data_source"] = args.data_source
-    for flag, field, _ in _OVERRIDE_FLAGS:
-        value = getattr(args, field)
+    for name in _OVERRIDE_FIELDS:
+        value = getattr(args, name)
         if value is not None:
-            kwargs[field] = value
+            kwargs[name] = value
     if not kwargs.get("problem_id") or not kwargs.get("variant"):
         parser.error("a problem and a variant are required (flags, preset, or config file)")
     try:
@@ -150,6 +135,8 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_batch(args, parser) -> int:
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.from_manifest:
         config = harness.config_from_manifest(args.from_manifest)
         if args.out:

@@ -32,7 +32,7 @@ from .constraint_handling import (
     initial_epsilon,
     normalized_feeding,
 )
-from .gradient import ProbeConfig, forward_gradient, pick_direction
+from .gradient import forward_gradient, pick_direction
 from .niching import (
     LinkGraph,
     leader_instinctive_step,
@@ -59,16 +59,26 @@ VARIANT_KINDS = ("base", "epsilon", "gradient", "penalty")
 class Variant:
     """Which constraint-handling mechanism runs on top of the base engine.
 
-    ``epsilon0`` fixes the starting tolerance of the epsilon variant; None
-    derives it from the initial school violations. ``tc_fraction`` is the
-    fraction of the iteration budget after which the tolerance is zero.
+    Each parameter is read, and checked, only by the kind it belongs to.
+
+    Epsilon: ``epsilon0`` fixes the starting tolerance; None derives it from
+    the initial school violations. ``tc_fraction`` is the fraction of the
+    iteration budget after which the tolerance is zero, and ``cp_min`` the
+    lower bound of the decay exponent.
+
+    Gradient: ``p_g`` is the per-fish probability of probing instead of the
+    plain random move, and ``k_directions`` the number of random unit vectors
+    sampled per probe. ``perturbation`` is the forward-difference step; None
+    means 1e-6 of the per-dimension box range.
     """
 
     kind: str = "base"
     tc_fraction: float = 0.6
     cp_min: float = 3.0
     epsilon0: float | None = None
-    probe: ProbeConfig | None = None
+    k_directions: int = 200
+    p_g: float = 0.1
+    perturbation: float | None = None
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
@@ -76,10 +86,17 @@ class Variant:
         if self.kind == "epsilon":
             if not 0.0 < self.tc_fraction <= 1.0:
                 raise ValueError(f"tc_fraction must lie in (0, 1], got {self.tc_fraction}")
+            if not self.cp_min > 0.0:
+                raise ValueError(f"cp_min must be positive, got {self.cp_min}")
             if self.epsilon0 is not None and self.epsilon0 < 0.0:
                 raise ValueError(f"epsilon0 must be non-negative, got {self.epsilon0}")
-        if self.kind == "gradient" and self.probe is None:
-            object.__setattr__(self, "probe", ProbeConfig(k_directions=200, p_g=0.1))
+        if self.kind == "gradient":
+            if self.k_directions < 1:
+                raise ValueError(f"k_directions must be >= 1, got {self.k_directions}")
+            if not 0.0 <= self.p_g <= 1.0:
+                raise ValueError(f"p_g must lie in [0, 1], got {self.p_g}")
+            if self.perturbation is not None and not self.perturbation > 0.0:
+                raise ValueError(f"perturbation must be positive, got {self.perturbation}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +130,14 @@ class EngineParams:
             raise ValueError(f"sar_alpha0 must lie in [0, 1], got {self.sar_alpha0}")
         if self.sar_decay < 0.0:
             raise ValueError(f"sar_decay must be non-negative, got {self.sar_decay}")
+        self.step_schedule()
+
+    def step_schedule(self) -> StepSchedule:
+        """The run's step schedule; it checks initial >= final >= 0 for both step pairs."""
+        return StepSchedule(
+            self.step_ind_initial, self.step_ind_final, self.step_vol_initial,
+            self.step_vol_final, horizon=self.iterations,
+        )
 
 
 def decide_phase(violations: np.ndarray, sigma: float) -> int:
@@ -175,11 +200,15 @@ class RunRecord:
 
 
 class _BestTracker:
-    """Historical best fish under the feasibility rules."""
+    """Historical best fish under the feasibility rules.
+
+    NaN until the first school is merged, which is what a run aborted at
+    its initial evaluation reports.
+    """
 
     def __init__(self):
-        self.fitness = math.inf
-        self.violation = math.inf
+        self.fitness = math.nan
+        self.violation = math.nan
         self.position: np.ndarray | None = None
 
     def merge_school(self, fitness: np.ndarray, violation: np.ndarray, positions: np.ndarray):
@@ -212,7 +241,7 @@ def _probe_candidates(
     positions: np.ndarray,
     phase: int,
     step_ind: np.ndarray,
-    probe: ProbeConfig,
+    variant: Variant,
     e: np.ndarray,
     rng: np.random.Generator,
     lower: np.ndarray,
@@ -220,9 +249,10 @@ def _probe_candidates(
 ) -> np.ndarray:
     """Individual-movement candidates with the probability-gated probe.
 
-    A fish whose gate draw falls below ``p_g`` steps step_ind * rand(0, 1)
-    along the direction picked from a forward-difference gradient of the
-    violation (one ``violation_rows`` call of D+1 rows); every other fish
+    A fish whose gate draw falls below the variant's ``p_g`` steps
+    step_ind * rand(0, 1) along the direction picked from a forward-difference
+    gradient of the violation (one ``violation_rows`` call of D+1 rows, with
+    steps ``e``) among ``k_directions`` samples; every other fish
     takes the plain uniform step in [-step_ind, step_ind]. Candidates are
     clipped into the box.
     """
@@ -231,9 +261,9 @@ def _probe_candidates(
     candidates = np.empty_like(positions)
     for i in range(n):
         x = positions[i]
-        if gate[i] < probe.p_g:
+        if gate[i] < variant.p_g:
             grad = forward_gradient(violation_rows, x, e)
-            u = pick_direction(grad, probe.k_directions, phase, rng)
+            u = pick_direction(grad, variant.k_directions, phase, rng)
             candidates[i] = x + step_ind * rng.random() * u
         else:
             candidates[i] = x + rng.uniform(-1.0, 1.0, d) * step_ind
@@ -259,18 +289,15 @@ def run(
     n, d = params.n_fish, problem.dimension
     lower, upper, width = problem.lower, problem.upper, problem.range_width
 
-    schedule = StepSchedule(
-        params.step_ind_initial,
-        params.step_ind_final,
-        params.step_vol_initial,
-        params.step_vol_final,
-        horizon=params.iterations,
-    )
+    schedule = params.step_schedule()
     controller = PhaseController(sigma=params.sigma, tau=params.tau)
     tracker = _BestTracker()
     extremes = {1: RunningExtremes(), 2: RunningExtremes()}
-    probe = variant.probe
-    e_vec = probe.resolve_perturbation(problem) if probe is not None else None
+    use_probe = variant.kind == "gradient" and variant.p_g > 0.0
+    if variant.perturbation is None:
+        e_vec = 1e-6 * width
+    else:
+        e_vec = np.full(d, float(variant.perturbation))
 
     trace_it: list[int] = []
     trace_f: list[float] = []
@@ -282,51 +309,6 @@ def run(
     aborted = False
     error = ""
 
-    positions = lower + rng.random((n, d)) * width
-    try:
-        fitness, violation = evaluate_many(problem, positions)
-        eval_count += n
-    except EvaluationError as exc:
-        return RunRecord(
-            seed=seed,
-            variant_kind=variant.kind,
-            n_fish=n,
-            iterations=params.iterations,
-            trace_iteration=np.array([], dtype=np.int64),
-            trace_best_fitness=np.array([]),
-            trace_best_violation=np.array([]),
-            trace_phase=np.array([], dtype=np.int64),
-            trace_feasible_count=np.array([], dtype=np.int64),
-            best_fitness=math.nan,
-            best_violation=math.nan,
-            best_position=np.full(d, math.nan),
-            eval_count=eval_count,
-            probe_count=0,
-            wall_time=time.perf_counter() - t_start,
-            aborted=True,
-            error=str(exc),
-        )
-
-    school = School.initial(positions, fitness, violation, params.w_scale)
-    tracker.merge_school(school.fitness, school.violation, school.positions)
-    links = LinkGraph.empty(n)
-
-    eps_schedule = None
-    if variant.kind == "epsilon":
-        eps0 = variant.epsilon0
-        if eps0 is None:
-            eps0 = initial_epsilon(school.violation)
-        cutoff = int(round(variant.tc_fraction * params.iterations))
-        eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
-
-    trace_it.append(0)
-    trace_f.append(tracker.fitness)
-    trace_v.append(tracker.violation)
-    trace_phase.append(decide_phase(school.violation, params.sigma))
-    trace_feas.append(int((school.violation == 0.0).sum()))
-
-    use_probe = variant.kind == "gradient" and probe is not None and probe.p_g > 0.0
-
     def probe_violation(rows: np.ndarray) -> np.ndarray:
         nonlocal eval_count, probe_count
         violation = evaluate_many(problem, rows)[1]
@@ -334,7 +316,28 @@ def run(
         probe_count += 1
         return violation
 
+    positions = lower + rng.random((n, d)) * width
     try:
+        fitness, violation = evaluate_many(problem, positions)
+        eval_count += n
+        school = School.initial(positions, fitness, violation, params.w_scale)
+        tracker.merge_school(school.fitness, school.violation, school.positions)
+        links = LinkGraph.empty(n)
+
+        eps_schedule = None
+        if variant.kind == "epsilon":
+            eps0 = variant.epsilon0
+            if eps0 is None:
+                eps0 = initial_epsilon(school.violation)
+            cutoff = int(round(variant.tc_fraction * params.iterations))
+            eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
+
+        trace_it.append(0)
+        trace_f.append(tracker.fitness)
+        trace_v.append(tracker.violation)
+        trace_phase.append(decide_phase(school.violation, params.sigma))
+        trace_feas.append(int((school.violation == 0.0).sum()))
+
         for t in range(params.iterations):
             # Start-of-iteration evaluation of the current positions (the
             # collective movements of the previous iteration are unscored
@@ -354,7 +357,7 @@ def run(
             # Individual movement: candidates, then acceptance.
             if use_probe:
                 candidates = _probe_candidates(
-                    probe_violation, school.positions, phase, step_ind, probe, e_vec, rng,
+                    probe_violation, school.positions, phase, step_ind, variant, e_vec, rng,
                     lower, upper,
                 )
             else:

@@ -10,42 +10,11 @@ candidates from these two functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .problem import Problem
-
-__all__ = ["ProbeConfig", "forward_gradient", "pick_direction"]
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Directional-probe parameters.
-
-    ``k_directions`` random unit vectors are sampled per probe; ``p_g`` is the
-    per-fish probability of probing instead of the plain random move.
-    ``perturbation`` is the forward-difference step; None means 1e-6 of the
-    per-dimension box range, resolved where the box is known.
-    """
-
-    k_directions: int
-    p_g: float
-    perturbation: float | None = None
-
-    def __post_init__(self):
-        if self.k_directions < 1:
-            raise ValueError(f"k_directions must be >= 1, got {self.k_directions}")
-        if not 0.0 <= self.p_g <= 1.0:
-            raise ValueError(f"p_g must lie in [0, 1], got {self.p_g}")
-        if self.perturbation is not None and not self.perturbation > 0.0:
-            raise ValueError(f"perturbation must be positive, got {self.perturbation}")
-
-    def resolve_perturbation(self, problem: Problem) -> np.ndarray:
-        if self.perturbation is not None:
-            return np.full(problem.dimension, float(self.perturbation))
-        return 1e-6 * problem.range_width
+__all__ = ["forward_gradient", "pick_direction"]
 
 
 def forward_gradient(

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +23,12 @@ import numpy as np
 
 from . import cec2010
 from .engine import EngineParams, RunRecord, Variant, run
-from .gradient import ProbeConfig
 from .problem import Problem
 
 __all__ = [
     "VARIANT_NAMES",
     "ExperimentConfig",
+    "FIELD_TYPES",
     "SummaryStats",
     "paper_preset",
     "list_presets",
@@ -65,7 +66,12 @@ _PRESET_SIGMA_TAU = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a batch; all fields are primitives."""
+    """Everything needed to reproduce a batch; all fields are primitives.
+
+    The field names are the manifest schema. Each engine field carries the
+    name of the ``EngineParams`` or ``Variant`` field it feeds, and the CLI
+    flags and INI keys are derived from the field names.
+    """
 
     problem_id: str
     variant: str
@@ -106,39 +112,10 @@ class ExperimentConfig:
         self.engine_variant()
 
     def engine_params(self) -> EngineParams:
-        return EngineParams(
-            n_fish=self.n_fish,
-            iterations=self.iterations,
-            sigma=self.sigma,
-            tau=self.tau,
-            w_scale=self.w_scale,
-            step_ind_initial=self.step_ind_initial,
-            step_ind_final=self.step_ind_final,
-            step_vol_initial=self.step_vol_initial,
-            step_vol_final=self.step_vol_final,
-            sar_alpha0=self.sar_alpha0,
-            sar_decay=self.sar_decay,
-        )
+        return _from_fields(EngineParams, self)
 
     def engine_variant(self) -> Variant:
-        kind = VARIANT_NAMES[self.variant]
-        if kind == "epsilon":
-            return Variant(
-                kind=kind,
-                tc_fraction=self.tc_fraction,
-                cp_min=self.cp_min,
-                epsilon0=self.epsilon0,
-            )
-        if kind == "gradient":
-            return Variant(
-                kind=kind,
-                probe=ProbeConfig(
-                    k_directions=self.k_directions,
-                    p_g=self.p_g,
-                    perturbation=self.perturbation,
-                ),
-            )
-        return Variant(kind=kind)
+        return _from_fields(Variant, self, kind=VARIANT_NAMES[self.variant])
 
     def load_problem(self) -> Problem:
         bench = cec2010.load_problem(
@@ -155,6 +132,22 @@ class ExperimentConfig:
             self.problem_id, data_dir=self.data_dir, source=self.data_source
         )
         return bench.data_source
+
+
+def _from_fields(cls, config: ExperimentConfig, **given):
+    """``cls`` built from the config fields of the same names, plus ``given``."""
+    taken = {
+        f.name: getattr(config, f.name) for f in dataclasses.fields(cls) if f.name not in given
+    }
+    return cls(**taken, **given)
+
+
+# The type a flag or INI value of each ExperimentConfig field is parsed as:
+# the field's annotation without None.
+FIELD_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 def paper_preset(
@@ -282,6 +275,8 @@ def run_batch(
     a custom ``problem`` object forces single-process execution). Failed runs
     are excluded from the statistics and counted in ``failed_runs``.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     seeds = [config.base_seed + i for i in range(config.run_count)]
     if n_jobs > 1 and problem is None and config.run_count > 1:
         payloads = [(dataclasses.asdict(config), s) for s in seeds]
@@ -403,43 +398,18 @@ def config_from_manifest(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**data["config"])
 
 
-_CONFIG_SECTIONS = {
-    "problem": {
-        "id": ("problem_id", str),
-        "delta": ("delta", float),
-        "violation_exponent": ("violation_exponent", float),
-        "data_dir": ("data_dir", str),
-        "data_source": ("data_source", str),
-    },
-    "engine": {
-        "n_fish": ("n_fish", int),
-        "iterations": ("iterations", int),
-        "sigma": ("sigma", float),
-        "tau": ("tau", float),
-        "w_scale": ("w_scale", float),
-        "step_ind_initial": ("step_ind_initial", float),
-        "step_ind_final": ("step_ind_final", float),
-        "step_vol_initial": ("step_vol_initial", float),
-        "step_vol_final": ("step_vol_final", float),
-        "sar_alpha0": ("sar_alpha0", float),
-        "sar_decay": ("sar_decay", float),
-    },
-    "variant": {
-        "name": ("variant", str),
-        "tc_fraction": ("tc_fraction", float),
-        "cp_min": ("cp_min", float),
-        "epsilon0": ("epsilon0", float),
-        "p_g": ("p_g", float),
-        "k_directions": ("k_directions", int),
-        "perturbation": ("perturbation", float),
-    },
-    "batch": {
-        "run_count": ("run_count", int),
-        "base_seed": ("base_seed", int),
-    },
-    "output": {
-        "directory": ("output_dir", str),
-    },
+# The ExperimentConfig fields of each INI section. A key is its field's name,
+# except for the three in _INI_RENAMED.
+_INI_RENAMED = {"problem_id": "id", "variant": "name", "output_dir": "directory"}
+_INI_SECTIONS = {
+    section: {_INI_RENAMED.get(field, field): field for field in fields}
+    for section, fields in {
+        "problem": ["problem_id", "delta", "violation_exponent", "data_dir", "data_source"],
+        "engine": [f.name for f in dataclasses.fields(EngineParams)],
+        "variant": ["variant"] + [f.name for f in dataclasses.fields(Variant) if f.name != "kind"],
+        "batch": ["run_count", "base_seed"],
+        "output": ["output_dir"],
+    }.items()
 }
 
 
@@ -455,14 +425,14 @@ def read_config_file(path: str | Path) -> dict:
         raise OSError(f"cannot read config file: {path}")
     kwargs: dict = {}
     for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
+        if section not in _INI_SECTIONS:
             raise ValueError(f"unknown config section [{section}] in {path}")
-        known = _CONFIG_SECTIONS[section]
+        known = _INI_SECTIONS[section]
         for key, raw in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
-            field, cast = known[key]
             if raw.strip() == "":
                 continue
-            kwargs[field] = cast(raw)
+            field = known[key]
+            kwargs[field] = FIELD_TYPES[field](raw)
     return kwargs

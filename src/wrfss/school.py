@@ -42,12 +42,12 @@ class StepSchedule:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
-        for initial, final in (
-            (self.step_ind_initial, self.step_ind_final),
-            (self.step_vol_initial, self.step_vol_final),
-        ):
-            if not (initial >= final >= 0.0):
-                raise ValueError("step schedule requires initial >= final >= 0")
+        for name in ("step_ind", "step_vol"):
+            initial, final = getattr(self, f"{name}_initial"), getattr(self, f"{name}_final")
+            if not initial >= final >= 0.0:
+                raise ValueError(
+                    f"{name}_initial >= {name}_final >= 0 required, got {initial} and {final}"
+                )
         if self._anchor_ind is None:
             self._anchor_ind = self.step_ind_initial
         if self._anchor_vol is None:

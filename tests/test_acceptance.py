@@ -23,7 +23,7 @@ from wrfss.constraint_handling import (
     normalized_feeding,
 )
 from wrfss.engine import EngineParams, Variant, run
-from wrfss.gradient import ProbeConfig, forward_gradient
+from wrfss.gradient import forward_gradient
 from wrfss.harness import paper_preset, run_batch
 from wrfss.niching import LinkGraph, link_formator
 from wrfss.problem import Problem
@@ -231,7 +231,7 @@ def test_criterion_09_variant_degeneracy():
     eps = run(bench.problem, Variant("epsilon", epsilon0=0.0), params, seed=SEED_BASE)
     grad = run(
         bench.problem,
-        Variant("gradient", probe=ProbeConfig(k_directions=50, p_g=0.0)),
+        Variant("gradient", k_directions=50, p_g=0.0),
         params,
         seed=SEED_BASE,
     )
@@ -252,7 +252,7 @@ def test_criterion_09_variant_degeneracy():
     eps2 = run(sphere, Variant("epsilon", epsilon0=0.0), params2, seed=SEED_BASE + 1)
     grad2 = run(
         sphere,
-        Variant("gradient", probe=ProbeConfig(k_directions=50, p_g=0.0)),
+        Variant("gradient", k_directions=50, p_g=0.0),
         params2,
         seed=SEED_BASE + 1,
     )

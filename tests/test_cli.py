@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from wrfss.cli import main
+from wrfss.cli import _build_parser, main
 
 
 def run_cli(args):
@@ -67,6 +68,12 @@ class TestRunCommand:
         (["--sar-alpha0", "1.5"], ""),
         (["--sar-decay", "-1.0"], ""),
         ([], "[engine]\nsar_alpha0 = 1.5\nsar_decay = -1.0\n"),
+        (["--step-ind-final", "0.5"], ""),
+        (["--step-vol-final", "-0.1"], ""),
+        (["--variant", "wrfsse", "--cp-min", "0"], ""),
+        ([], "[engine]\nstep_vol_initial = 0.0001\n"),
+        (["--variant", "wrfsse"], "[variant]\ncp_min = 0\n"),
+        (["--variant", "wrfssg"], "[variant]\nk_directions = 0\n"),
     ])
     def test_bad_engine_parameter_is_usage_error(self, tmp_path, capsys, flags, ini):
         args = ["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
@@ -77,7 +84,11 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2
-        assert "sar_" in capsys.readouterr().err
+        # the message names one of the parameters the case sets
+        named = {a[2:].replace("-", "_") for a in flags if a.startswith("--")} - {"variant"}
+        named |= {line.split(" = ")[0] for line in ini.splitlines() if " = " in line}
+        err = capsys.readouterr().err
+        assert any(name in err for name in named), err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_problem_is_runtime_error(self, tmp_path, capsys):
@@ -146,9 +157,72 @@ class TestBatchCommand:
         b = json.loads((replay / "summary.json").read_text())
         assert a["stats"] == b["stats"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([
+                "batch", "--problems", "C01", "--variants", "wrfss", "--runs", "2",
+                "--iterations", "5", "--n-fish", "4", "--jobs", jobs, "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_without_selection_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["batch", "--runs", "2"])
+        assert exc.value.code == 2
+
+
+# Every ExperimentConfig field except the seven selection fields has one
+# override flag on `run` and `batch`: "--" + the field name with dashes.
+OVERRIDE_FLAGS = {
+    "--delta": float,
+    "--violation-exponent": float,
+    "--n-fish": int,
+    "--iterations": int,
+    "--sigma": float,
+    "--tau": float,
+    "--w-scale": float,
+    "--step-ind-initial": float,
+    "--step-ind-final": float,
+    "--step-vol-initial": float,
+    "--step-vol-final": float,
+    "--sar-alpha0": float,
+    "--sar-decay": float,
+    "--tc-fraction": float,
+    "--cp-min": float,
+    "--epsilon0": float,
+    "--p-g": float,
+    "--k-directions": int,
+    "--perturbation": float,
+}
+COMMON_FLAGS = {
+    "-h", "--help", "--problem", "--variant", "--preset", "--desk", "--config",
+    "--data-dir", "--data-source", "--out",
+}
+
+
+class TestParameterSurface:
+    @pytest.mark.parametrize("command, own", [
+        ("run", {"--seed"}),
+        ("batch", {"--problems", "--variants", "--runs", "--base-seed", "--jobs",
+                   "--from-manifest"}),
+    ])
+    def test_override_flags(self, command, own):
+        parser = _build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        types = {o: a.type for a in subs.choices[command]._actions for o in a.option_strings}
+        assert set(types) == COMMON_FLAGS | own | set(OVERRIDE_FLAGS)
+        assert {flag: types[flag] for flag in OVERRIDE_FLAGS} == OVERRIDE_FLAGS
+
+    def test_override_flags_parse_by_type(self):
+        parser = _build_parser()
+        args = parser.parse_args(["run", "--epsilon0", "1e-3", "--k-directions", "3"])
+        assert (args.epsilon0, args.k_directions) == (1e-3, 3)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["batch", "--k-directions", "3.5"])
         assert exc.value.code == 2
 
 

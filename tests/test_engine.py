@@ -10,7 +10,6 @@ from wrfss.engine import (
     decide_phase,
     run,
 )
-from wrfss.gradient import ProbeConfig
 from wrfss.problem import Problem
 from wrfss.school import StepSchedule
 
@@ -144,7 +143,7 @@ class TestRun:
     def test_eval_count_formula_gradient(self):
         problem = ring()
         n, t, d = 9, 25, 3
-        variant = Variant("gradient", probe=ProbeConfig(k_directions=8, p_g=0.4))
+        variant = Variant("gradient", k_directions=8, p_g=0.4)
         rec = run(problem, variant, EngineParams(n_fish=n, iterations=t), seed=2)
         assert rec.probe_count > 0
         assert rec.eval_count == n * (1 + 2 * t) + (d + 1) * rec.probe_count
@@ -196,7 +195,7 @@ class TestRun:
         base = run(problem, Variant("base"), params, seed=22)
         grad = run(
             problem,
-            Variant("gradient", probe=ProbeConfig(k_directions=10, p_g=0.0)),
+            Variant("gradient", k_directions=10, p_g=0.0),
             params,
             seed=22,
         )
@@ -229,6 +228,16 @@ class TestRun:
         rec = run(bad, Variant("base"), EngineParams(n_fish=4, iterations=10), seed=1)
         assert rec.aborted
         assert "objective" in rec.error
+        # the initial evaluation failed: nothing was recorded or counted
+        for trace in (rec.trace_iteration, rec.trace_best_fitness, rec.trace_best_violation,
+                      rec.trace_phase, rec.trace_feasible_count):
+            assert trace.size == 0
+        assert math.isnan(rec.best_fitness)
+        assert math.isnan(rec.best_violation)
+        assert rec.best_position.shape == (2,)
+        assert np.all(np.isnan(rec.best_position))
+        assert rec.eval_count == 0
+        assert rec.probe_count == 0
 
     def test_abort_mid_run_keeps_partial_trace(self):
         calls = {"n": 0}
@@ -266,7 +275,7 @@ class TestRun:
             dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
             objective=objective, inequalities=(lambda x: x[:, 0] - 1.0,), vectorized=True,
         )
-        variant = Variant("gradient", probe=ProbeConfig(k_directions=4, p_g=1.0))
+        variant = Variant("gradient", k_directions=4, p_g=1.0)
         rec = run(problem, variant, EngineParams(n_fish=n, iterations=50), seed=5)
         assert rec.aborted
         assert rec.probe_count == n + 2
@@ -297,6 +306,22 @@ class TestRun:
         run(problem, Variant("base"), EngineParams(n_fish=8, iterations=60), seed=3,
             observer=check)
 
+    def test_feasible_start_boosts_once_at_t0(self, monkeypatch):
+        # The controller starts in phase 1, so a school that is feasible at
+        # t=0 gets one (1 + tau) boost there although no switch happened.
+        calls = []
+        boost = StepSchedule.boost
+
+        def counting_boost(schedule, tau, t):
+            calls.append((tau, t))
+            boost(schedule, tau, t)
+
+        monkeypatch.setattr(StepSchedule, "boost", counting_boost)
+        rec = run(sphere(), Variant("base"), EngineParams(n_fish=8, iterations=50, tau=0.3),
+                  seed=4)
+        assert np.all(rec.trace_phase[1:] == 2)
+        assert calls == [(0.3, 0)]
+
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             Variant("unknown")
@@ -304,15 +329,24 @@ class TestRun:
             Variant("epsilon", tc_fraction=0.0)
         with pytest.raises(ValueError):
             Variant("epsilon", epsilon0=-1.0)
+        with pytest.raises(ValueError, match="cp_min"):
+            Variant("epsilon", cp_min=0.0)
+        # each kind checks only its own parameters
+        Variant("gradient", tc_fraction=0.0, cp_min=0.0)
+        Variant("epsilon", k_directions=0, p_g=2.0)
         with pytest.raises(ValueError):
             EngineParams(n_fish=0)
         with pytest.raises(ValueError):
             EngineParams(sigma=1.5)
         with pytest.raises(ValueError):
             EngineParams(w_scale=1.0)
+        for bad in (dict(step_ind_final=0.5), dict(step_ind_final=-1e-3),
+                    dict(step_vol_initial=0.0001), dict(step_vol_final=-1e-3)):
+            with pytest.raises(ValueError, match="step_"):
+                EngineParams(**bad)
 
     def test_gradient_variant_defaults_probe(self):
         v = Variant("gradient")
-        assert v.probe is not None
-        assert v.probe.k_directions == 200
-        assert v.probe.p_g == 0.1
+        assert v.k_directions == 200
+        assert v.p_g == 0.1
+        assert v.perturbation is None

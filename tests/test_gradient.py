@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wrfss.engine import _probe_candidates
-from wrfss.gradient import ProbeConfig, forward_gradient, pick_direction
+from wrfss.engine import EngineParams, Variant, _probe_candidates, run
+from wrfss.gradient import forward_gradient, pick_direction
 from wrfss.problem import Problem, evaluate_many
 from wrfss.school import School
 
@@ -123,7 +123,7 @@ class TestProbeMove:
     """The engine's probe-gated candidates, accepted through School.accept."""
 
     @staticmethod
-    def candidates(problem, positions, phase, step, config, rng):
+    def candidates(problem, positions, phase, step, variant, rng):
         calls = []
 
         def violation_rows(rows):
@@ -132,15 +132,15 @@ class TestProbeMove:
 
         out = _probe_candidates(
             violation_rows, np.asarray(positions, float), phase, np.full(problem.dimension, step),
-            config, config.resolve_perturbation(problem), rng, problem.lower, problem.upper,
+            variant, 1e-6 * problem.range_width, rng, problem.lower, problem.upper,
         )
         return out, calls
 
     def test_zero_probability_matches_plain_move(self):
         problem = box(3, objective=lambda x: (x**2).sum(axis=-1))
         positions = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]])
-        config = ProbeConfig(k_directions=5, p_g=0.0)
-        out, calls = self.candidates(problem, positions, 1, 0.5, config,
+        variant = Variant("gradient", k_directions=5, p_g=0.0)
+        out, calls = self.candidates(problem, positions, 1, 0.5, variant,
                                      np.random.default_rng(77))
         assert calls == []
         # after the gate draws, each fish takes the plain uniform step
@@ -157,8 +157,8 @@ class TestProbeMove:
             inequalities=(lambda x: x[:, 0] + 50.0,),  # g > 0 over most of the box
         )
         school = School.initial(np.array([[10.0, 0.0]]), *evaluate_many(problem, [[10.0, 0.0]]), 10.0)
-        config = ProbeConfig(k_directions=64, p_g=1.0)
-        cand, calls = self.candidates(problem, school.positions, 1, 5.0, config,
+        variant = Variant("gradient", k_directions=64, p_g=1.0)
+        cand, calls = self.candidates(problem, school.positions, 1, 5.0, variant,
                                       np.random.default_rng(13))
         assert calls == [3]  # one probe of D+1 rows
         cand_f, cand_v = evaluate_many(problem, cand)
@@ -174,8 +174,8 @@ class TestProbeMove:
         problem = box(2, objective=lambda x: np.zeros(len(x)))
         start = np.array([[1.0, 1.0], [-2.0, 3.0]])
         school = School.initial(start, *evaluate_many(problem, start), 10.0)
-        config = ProbeConfig(k_directions=4, p_g=1.0)
-        cand, calls = self.candidates(problem, start, 1, 0.5, config, np.random.default_rng(5))
+        variant = Variant("gradient", k_directions=4, p_g=1.0)
+        cand, calls = self.candidates(problem, start, 1, 0.5, variant, np.random.default_rng(5))
         assert calls == [3, 3]
         cand_f, cand_v = evaluate_many(problem, cand)
         school.accept(cand_v < school.violation, cand, cand_f, cand_v, school.violation - cand_v)
@@ -184,21 +184,36 @@ class TestProbeMove:
         assert np.all(school.delta_x == 0.0)
 
     def test_paper_scale_configuration_accepted(self):
-        config = ProbeConfig(k_directions=200, p_g=0.10)
-        assert config.k_directions == 200
-        assert config.p_g == 0.10
+        variant = Variant("gradient", k_directions=200, p_g=0.10)
+        assert variant.k_directions == 200
+        assert variant.p_g == 0.10
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ProbeConfig(k_directions=0, p_g=0.5)
-        with pytest.raises(ValueError):
-            ProbeConfig(k_directions=5, p_g=1.5)
-        with pytest.raises(ValueError):
-            ProbeConfig(k_directions=5, p_g=0.5, perturbation=0.0)
+        with pytest.raises(ValueError, match="k_directions"):
+            Variant("gradient", k_directions=0, p_g=0.5)
+        with pytest.raises(ValueError, match="p_g"):
+            Variant("gradient", k_directions=5, p_g=1.5)
+        with pytest.raises(ValueError, match="perturbation"):
+            Variant("gradient", k_directions=5, p_g=0.5, perturbation=0.0)
 
     def test_default_perturbation_scales_with_range(self):
-        problem = box(2, lo=0.0, hi=10.0, objective=lambda x: 0.0)
-        config = ProbeConfig(k_directions=5, p_g=0.5)
-        assert np.allclose(config.resolve_perturbation(problem), 1e-5)
-        fixed = ProbeConfig(k_directions=5, p_g=0.5, perturbation=1e-3)
-        assert np.allclose(fixed.resolve_perturbation(problem), 1e-3)
+        # the forward-difference step run() uses, read off the probe rows
+        steps = []
+
+        def objective(x):
+            if x.shape[0] == 3:
+                steps.append(np.diag(x[1:] - x[0]))
+            return np.zeros(x.shape[0])
+
+        lower, upper = np.array([0.0, -50.0]), np.array([10.0, 50.0])
+        problem = Problem(dimension=2, lower=lower, upper=upper, objective=objective,
+                          vectorized=True)
+        params = EngineParams(n_fish=4, iterations=2)
+        run(problem, Variant("gradient", k_directions=5, p_g=1.0), params, seed=3)
+        assert len(steps) == 8
+        assert np.allclose(steps, [1e-5, 1e-4])
+        steps.clear()
+        fixed = Variant("gradient", k_directions=5, p_g=1.0, perturbation=1e-3)
+        run(problem, fixed, params, seed=3)
+        assert len(steps) == 8
+        assert np.allclose(steps, 1e-3)

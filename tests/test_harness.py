@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wrfss.cec2010 import PROBLEM_IDS, BenchDataError
-from wrfss.engine import RunRecord
+from wrfss.engine import EngineParams, RunRecord, Variant
 from wrfss.harness import (
     VARIANT_NAMES,
     ExperimentConfig,
@@ -162,6 +162,10 @@ class TestRunBatch:
         )
         for key in seq:
             assert seq[key].read_bytes() == par[key].read_bytes(), key
+
+    def test_job_count_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_batch(tiny_config(tmp_path), n_jobs=0)
 
     def test_custom_problem_and_failures_reported(self, tmp_path):
         calls = {"n": 0}
@@ -320,6 +324,96 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_config_file(tmp_path / "nope.ini")
+
+
+# Every INI key, by section, with the value it is read as.
+EVERY_INI_KEY = {
+    "problem": {
+        "id": ("problem_id", "C07"),
+        "delta": ("delta", 2e-4),
+        "violation_exponent": ("violation_exponent", 2.0),
+        "data_dir": ("data_dir", "data"),
+        "data_source": ("data_source", "surrogate"),
+    },
+    "engine": {
+        "n_fish": ("n_fish", 12),
+        "iterations": ("iterations", 77),
+        "sigma": ("sigma", 0.1),
+        "tau": ("tau", 0.2),
+        "w_scale": ("w_scale", 100.0),
+        "step_ind_initial": ("step_ind_initial", 0.3),
+        "step_ind_final": ("step_ind_final", 0.01),
+        "step_vol_initial": ("step_vol_initial", 0.4),
+        "step_vol_final": ("step_vol_final", 0.02),
+        "sar_alpha0": ("sar_alpha0", 0.5),
+        "sar_decay": ("sar_decay", 0.01),
+    },
+    "variant": {
+        "name": ("variant", "wrfssg"),
+        "tc_fraction": ("tc_fraction", 0.5),
+        "cp_min": ("cp_min", 4.0),
+        "epsilon0": ("epsilon0", 1e-3),
+        "p_g": ("p_g", 0.2),
+        "k_directions": ("k_directions", 30),
+        "perturbation": ("perturbation", 1e-5),
+    },
+    "batch": {
+        "run_count": ("run_count", 2),
+        "base_seed": ("base_seed", 99),
+    },
+    "output": {
+        "directory": ("output_dir", "results"),
+    },
+}
+
+
+class TestParameterSurface:
+    def test_every_ini_key(self, tmp_path):
+        ini = tmp_path / "every.ini"
+        ini.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, (_, value) in keys.items())
+            for section, keys in EVERY_INI_KEY.items()
+        ))
+        kwargs = read_config_file(ini)
+        expected = {field: value for keys in EVERY_INI_KEY.values() for field, value in keys.values()}
+        assert kwargs == expected
+        assert {k: type(v) for k, v in kwargs.items()} == {k: type(v) for k, v in expected.items()}
+        assert set(kwargs) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        ExperimentConfig(**kwargs)
+
+    def test_no_other_ini_key(self, tmp_path):
+        # every key of another section, and every field name that is not a
+        # key of this one (problem_id, variant, output_dir), is rejected
+        ini = tmp_path / "misplaced.ini"
+        candidates = {key for keys in EVERY_INI_KEY.values() for key in keys}
+        candidates |= {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for section, keys in EVERY_INI_KEY.items():
+            for key in candidates - keys.keys():
+                ini.write_text(f"[{section}]\n{key} = 1\n")
+                with pytest.raises(ValueError, match=key):
+                    read_config_file(ini)
+
+    def test_manifest_config_keys_load(self, tmp_path):
+        config = {
+            "problem_id": "C03", "variant": "wrfssg", "run_count": 30, "base_seed": 1000,
+            "output_dir": "out", "data_dir": None, "data_source": None, "delta": 0.0001,
+            "violation_exponent": 1.0, "n_fish": 30, "iterations": 5000, "sigma": 0.5,
+            "tau": 0.01, "w_scale": 5000.0, "step_ind_initial": 0.1, "step_ind_final": 0.0001,
+            "step_vol_initial": 0.2, "step_vol_final": 0.0002, "sar_alpha0": 0.8,
+            "sar_decay": 0.007, "tc_fraction": 0.6, "cp_min": 8.0, "epsilon0": None,
+            "p_g": 0.1, "k_directions": 50, "perturbation": None,
+        }
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"config": config, "seeds": [1000], "resolved_data_source": "surrogate"}
+        ))
+        assert dataclasses.asdict(config_from_manifest(manifest)) == config
+
+    @pytest.mark.parametrize("name", sorted(VARIANT_NAMES))
+    def test_default_config_builds_engine_defaults(self, name):
+        config = ExperimentConfig(problem_id="C01", variant=name)
+        assert config.engine_params() == EngineParams()
+        assert config.engine_variant() == Variant(VARIANT_NAMES[name])
 
 
 def test_run_single_uses_engine(tmp_path):
