@@ -16,7 +16,7 @@ from .constraint_handling import (
 from .engine import EngineParams, PhaseController, RunRecord, Variant, decide_phase, run
 from .gradient import forward_gradient, pick_direction
 from .niching import LinkGraph, leader_instinctive_step, leader_volitive_step, link_formator
-from .problem import Evaluation, EvaluationError, Problem, evaluate, evaluate_many, relax_equalities
+from .problem import EvaluationError, Problem, evaluate_many
 from .school import School, StepSchedule
 
 __version__ = "0.1.0"
@@ -24,11 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Problem",
-    "Evaluation",
     "EvaluationError",
-    "evaluate",
     "evaluate_many",
-    "relax_equalities",
     "School",
     "StepSchedule",
     "LinkGraph",

@@ -73,6 +73,8 @@ _SURROGATE_SHIFT = {
     "C09": (-50.0, 50.0),
 }
 _SURROGATE_SEED = 20100731
+# Rows per evaluate_many call in feasible_ratio.
+_SAMPLE_BATCH = 65536
 
 
 class BenchDataError(RuntimeError):
@@ -189,7 +191,6 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         equalities=equalities,
         delta=delta,
         violation_exponent=exponent,
-        vectorized=True,
         name=pid,
     )
 
@@ -294,9 +295,7 @@ def load_problem(
     )
 
 
-def feasible_ratio(
-    problem: Problem, samples: int, seed: int = 0, batch: int = 65536
-) -> float:
+def feasible_ratio(problem: Problem, samples: int, seed: int = 0) -> float:
     """Monte Carlo estimate of the feasible fraction of the box.
 
     Deterministic for a given seed; standard error scales as 1/sqrt(samples).
@@ -309,7 +308,7 @@ def feasible_ratio(
     feasible = 0
     remaining = samples
     while remaining > 0:
-        n = min(batch, remaining)
+        n = min(_SAMPLE_BATCH, remaining)
         pts = problem.lower + rng.random((n, problem.dimension)) * width
         _, violation = evaluate_many(problem, pts)
         feasible += int((violation == 0.0).sum())

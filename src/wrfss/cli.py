@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import sys
 from pathlib import Path
@@ -88,7 +89,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         preset = harness.paper_preset(problem, variant, desk=args.desk)
         kwargs.update(dataclasses.asdict(preset))
     if args.config:
-        kwargs.update(harness.read_config_file(args.config))
+        try:
+            kwargs.update(harness.read_config_file(args.config))
+        except (ValueError, configparser.Error) as exc:
+            parser.error(str(exc))
     kwargs["problem_id"] = kwargs.get("problem_id", problem) if problem is None else problem
     kwargs["variant"] = kwargs.get("variant", variant) if variant is None else variant
     kwargs.update(
@@ -113,6 +117,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 
 def _execute_batch(config: harness.ExperimentConfig, jobs: int) -> None:
+    config.load_problem()  # bad problem parameters fail before the output directory exists
     harness.prepare_output_dir(config.output_dir)
     stats, records = harness.run_batch(config, n_jobs=jobs)
     paths = harness.emit_reports(config, stats, records)

@@ -124,8 +124,8 @@ class EngineParams:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
         if self.tau < 0.0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
-        if self.w_scale <= 1.0:
-            raise ValueError(f"w_scale must exceed 1, got {self.w_scale}")
+        if not self.w_scale >= 2.0:  # the start weight w_scale / 2 must lie in [1, w_scale]
+            raise ValueError(f"w_scale must be >= 2, got {self.w_scale}")
         if not 0.0 <= self.sar_alpha0 <= 1.0:
             raise ValueError(f"sar_alpha0 must lie in [0, 1], got {self.sar_alpha0}")
         if self.sar_decay < 0.0:

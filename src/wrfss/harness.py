@@ -417,7 +417,8 @@ def read_config_file(path: str | Path) -> dict:
     """Parse an INI experiment file into ExperimentConfig keyword arguments.
 
     Sections: [problem], [engine], [variant], [batch], [output]. Every key is
-    optional; unknown keys are rejected. Empty values mean "use the default".
+    optional; unknown sections and keys, and values that do not parse as the
+    field's type, raise ValueError. Empty values mean "use the default".
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -434,5 +435,8 @@ def read_config_file(path: str | Path) -> dict:
             if raw.strip() == "":
                 continue
             field = known[key]
-            kwargs[field] = FIELD_TYPES[field](raw)
+            try:
+                kwargs[field] = FIELD_TYPES[field](raw)
+            except ValueError as exc:
+                raise ValueError(f"bad value for key {key!r} in section [{section}] of {path}: {exc}")
     return kwargs

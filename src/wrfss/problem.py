@@ -1,29 +1,27 @@
 """Nonlinear programming problem model.
 
 A problem is an objective over a box, plus inequality constraints g(x) <= 0
-and equality constraints h(x) = 0. Equalities are handled through a tolerance
-relaxation |h(x)| - delta <= 0, and infeasibility is aggregated into a single
-non-negative violation measure that is zero exactly on the relaxed feasible
-set.
+and equality constraints h(x) = 0. Every problem function takes a batch: it
+maps an (n, D) array of points to n values. Equalities are relaxed to
+|h(x)| - delta <= 0, and infeasibility is aggregated into one non-negative
+violation measure,
+
+    violation(x) = sum_j max(0, g_j(x))**p + sum_j max(0, |h_j(x)| - delta)**p,
+
+with p the violation exponent. It is zero exactly on the relaxed feasible set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Problem",
-    "Evaluation",
-    "EvaluationError",
-    "evaluate",
-    "evaluate_many",
-    "relax_equalities",
-]
+__all__ = ["Problem", "EvaluationError", "evaluate_many"]
 
-ConstraintFn = Callable[[np.ndarray], float]
+# Maps an (n, D) batch of points to n values.
+BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 class EvaluationError(RuntimeError):
@@ -47,24 +45,22 @@ class EvaluationError(RuntimeError):
 class Problem:
     """Minimization problem over a box with optional constraints.
 
-    Inequalities are feasible when g(x) <= 0; equalities when |h(x)| <= delta.
-    ``violation_exponent`` is the power applied to each constraint breach when
-    aggregating the violation measure.
-
-    When ``vectorized`` is true, the objective and every constraint accept an
-    (n, dimension) array and return an (n,) array; this is the fast path used
-    by the search engine, and plain per-point callables work everywhere else.
+    The objective and every constraint map an (n, dimension) array to an
+    (n,) array; ``evaluate_many`` rejects any other shape. Inequalities are
+    feasible when g(x) <= 0, equalities when |h(x)| <= delta, and
+    ``violation_exponent`` is the power p applied to each breach in the
+    violation measure (see the module docstring). A per-point function f
+    becomes a batch one as ``lambda X: np.array([f(x) for x in X])``.
     """
 
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
-    objective: Callable
-    inequalities: tuple[ConstraintFn, ...] = ()
-    equalities: tuple[ConstraintFn, ...] = ()
+    objective: BatchFn
+    inequalities: tuple[BatchFn, ...] = ()
+    equalities: tuple[BatchFn, ...] = ()
     delta: float = 1e-4
     violation_exponent: float = 1.0
-    vectorized: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -100,18 +96,6 @@ class Problem:
         return len(self.equalities)
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Objective value and aggregate constraint violation at one point."""
-
-    fitness: float
-    violation: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.violation == 0.0
-
-
 def _violation_terms(values: np.ndarray, exponent: float) -> np.ndarray:
     terms = np.maximum(0.0, values)
     if exponent != 1.0:
@@ -119,93 +103,47 @@ def _violation_terms(values: np.ndarray, exponent: float) -> np.ndarray:
     return terms
 
 
-def evaluate(problem: Problem, x: Sequence[float] | np.ndarray) -> Evaluation:
-    """Evaluate objective and violation at a single point.
-
-    The violation is the sum over inequalities of max(0, g(x))**p plus the sum
-    over equalities of max(0, |h(x)| - delta)**p. A point is feasible exactly
-    when the violation is zero. Raises EvaluationError if any function returns
-    a non-finite value.
-    """
-    x = np.asarray(x, dtype=float)
-    f = float(problem.objective(x))
-    if not np.isfinite(f):
-        raise EvaluationError("objective", None, problem.name)
-    violation = 0.0
-    for j, g in enumerate(problem.inequalities):
-        gv = float(g(x))
-        if not np.isfinite(gv):
-            raise EvaluationError("inequality", j, problem.name)
-        violation += float(_violation_terms(np.asarray(gv), problem.violation_exponent))
-    for j, h in enumerate(problem.equalities):
-        hv = float(h(x))
-        if not np.isfinite(hv):
-            raise EvaluationError("equality", j, problem.name)
-        violation += float(
-            _violation_terms(np.asarray(abs(hv) - problem.delta), problem.violation_exponent)
-        )
-    return Evaluation(fitness=f, violation=violation)
+def _values(fn: BatchFn, points: np.ndarray, kind: str, index: int | None, name: str) -> np.ndarray:
+    """``fn(points)`` as floats, checked to be one finite value per point."""
+    values = np.asarray(fn(points), dtype=float)
+    n, d = points.shape
+    if values.shape != (n,) or n == d > 1:
+        # A per-point function returns a (D,) row of the batch, which has n
+        # values when n == D; on a single point it cannot.
+        rows, got = points, values.shape
+        if got == (n,):
+            rows = points[:1]
+            got = np.shape(fn(rows))
+        if got != rows.shape[:1]:
+            where = kind if index is None else f"{kind}[{index}]"
+            raise ValueError(
+                f"{where} of problem {name!r} returned shape {got} for points of shape "
+                f"{rows.shape}; expected ({rows.shape[0]},)"
+            )
+    if not np.isfinite(values).all():
+        raise EvaluationError(kind, index, name)
+    return values
 
 
 def evaluate_many(problem: Problem, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a batch of points, returning (fitness, violation) arrays.
 
-    Uses the problem's vectorized callables when available, otherwise falls
-    back to row-by-row evaluation. Results are identical either way.
+    The violation of row i is sum_j max(0, g_j)**p + sum_j max(0, |h_j| -
+    delta)**p, zero exactly when the row is feasible. Raises ValueError when
+    ``points`` is not (n, dimension) or a problem function does not return
+    shape (n,); when n == dimension, each function is also called on the
+    first point alone and must return shape (1,). Raises EvaluationError,
+    naming the function, when one returns a non-finite value.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != problem.dimension:
         raise ValueError(f"points must have shape (n, {problem.dimension})")
-    if not problem.vectorized:
-        evs = [evaluate(problem, row) for row in points]
-        return (
-            np.array([e.fitness for e in evs]),
-            np.array([e.violation for e in evs]),
-        )
-
-    f = np.asarray(problem.objective(points), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise EvaluationError("objective", None, problem.name)
+    p, name = problem.violation_exponent, problem.name
+    f = _values(problem.objective, points, "objective", None, name)
     violation = np.zeros(points.shape[0])
     for j, g in enumerate(problem.inequalities):
-        gv = np.asarray(g(points), dtype=float)
-        if not np.all(np.isfinite(gv)):
-            raise EvaluationError("inequality", j, problem.name)
-        violation += _violation_terms(gv, problem.violation_exponent)
+        violation += _violation_terms(_values(g, points, "inequality", j, name), p)
     for j, h in enumerate(problem.equalities):
-        hv = np.asarray(h(points), dtype=float)
-        if not np.all(np.isfinite(hv)):
-            raise EvaluationError("equality", j, problem.name)
-        violation += _violation_terms(np.abs(hv) - problem.delta, problem.violation_exponent)
+        hv = _values(h, points, "equality", j, name)
+        violation += _violation_terms(np.abs(hv) - problem.delta, p)
     return f, violation
-
-
-def relax_equalities(problem: Problem, delta: float) -> Problem:
-    """Convert every equality h(x) = 0 into the inequality |h(x)| - delta <= 0.
-
-    The returned problem has no equality constraints; its violation measure
-    and feasible set coincide with the original problem evaluated under the
-    same tolerance.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-
-    def as_inequality(h: ConstraintFn, tol: float) -> ConstraintFn:
-        def g(x):
-            return np.abs(h(x)) - tol
-
-        return g
-
-    relaxed = tuple(as_inequality(h, delta) for h in problem.equalities)
-    return Problem(
-        dimension=problem.dimension,
-        lower=problem.lower,
-        upper=problem.upper,
-        objective=problem.objective,
-        inequalities=problem.inequalities + relaxed,
-        equalities=(),
-        delta=delta,
-        violation_exponent=problem.violation_exponent,
-        vectorized=problem.vectorized,
-        name=problem.name,
-    )

@@ -245,7 +245,6 @@ def test_criterion_09_variant_degeneracy():
         lower=np.full(6, -10.0),
         upper=np.full(6, 10.0),
         objective=lambda x: (np.asarray(x) ** 2).sum(axis=-1),
-        vectorized=True,
     )
     params2 = EngineParams(n_fish=20, iterations=400)
     base2 = run(sphere, Variant("base"), params2, seed=SEED_BASE + 1)

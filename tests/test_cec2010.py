@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wrfss import cec2010
 from wrfss.cec2010 import (
     DIMENSION,
     PROBLEM_IDS,
@@ -12,7 +13,14 @@ from wrfss.cec2010 import (
     load_problem,
     write_data_dir,
 )
-from wrfss.problem import Problem, evaluate, evaluate_many
+from wrfss.problem import Problem, evaluate_many
+
+
+def at(problem, x):
+    """(fitness, violation) of one point, scored as a one-row batch."""
+    f, v = evaluate_many(problem, np.asarray(x, dtype=float)[None, :])
+    return float(f[0]), float(v[0])
+
 
 TABLE1_EXPECTED = {
     # id: (lower, upper, equalities, inequalities, published ratio)
@@ -78,39 +86,36 @@ class TestZeroModeAnalyticPoints:
     def test_c03_equal_coordinates_are_feasible(self):
         bench = load_problem("C03", source="zero")
         x = np.full(DIMENSION, 7.31)
-        ev = evaluate(bench.problem, x)
-        assert ev.feasible
+        assert at(bench.problem, x)[1] == 0.0
         # the objective minimum over that line sits at all-ones with value 0
-        assert evaluate(bench.problem, np.ones(DIMENSION)).fitness == 0.0
+        assert at(bench.problem, np.ones(DIMENSION))[0] == 0.0
 
     def test_c04_origin_is_feasible_with_zero_objective(self):
         bench = load_problem("C04", source="zero")
-        ev = evaluate(bench.problem, np.zeros(DIMENSION))
-        assert ev.feasible
-        assert ev.fitness == 0.0
+        assert at(bench.problem, np.zeros(DIMENSION)) == (0.0, 0.0)
 
     def test_c09_origin_is_feasible(self):
         bench = load_problem("C09", source="zero")
-        assert evaluate(bench.problem, np.zeros(DIMENSION)).feasible
+        assert at(bench.problem, np.zeros(DIMENSION))[1] == 0.0
 
     def test_c01_constraint_boundary(self):
         bench = load_problem("C01", source="zero")
         x = np.ones(DIMENSION)
         x[0] = 0.75  # product exactly 0.75: first constraint active but satisfied
-        assert evaluate(bench.problem, x).feasible
+        assert at(bench.problem, x)[1] == 0.0
         x[0] = 0.74
-        assert not evaluate(bench.problem, x).feasible
+        assert at(bench.problem, x)[1] > 0.0
 
     def test_c01_sum_constraint(self):
         bench = load_problem("C01", source="zero")
         x = np.full(DIMENSION, 7.6)  # sum 76 > 75
-        assert not evaluate(bench.problem, x).feasible
+        assert at(bench.problem, x)[1] > 0.0
 
     def test_c06_rotated_fixed_point_is_feasible(self):
         bench = load_problem("C06", source="zero")
         # with identity rotation the pre/post offsets cancel: both equality
         # terms vanish at the origin
-        assert evaluate(bench.problem, np.zeros(DIMENSION)).feasible
+        assert at(bench.problem, np.zeros(DIMENSION))[1] == 0.0
 
     def test_c07_c08_agree_under_identity_rotation(self):
         c07 = load_problem("C07", source="zero")
@@ -128,11 +133,10 @@ class TestZeroModeAnalyticPoints:
         x[0] = 1.0
         x[1] = 3.0
         # h2 couples the first half: (z0 - z1)^2 = 4 contributes
-        ev = evaluate(bench.problem, x)
-        assert ev.violation > 0.0
+        assert at(bench.problem, x)[1] > 0.0
         y = np.zeros(DIMENSION)
         y[5] = 2.0  # second-half term (z5^2 - z6)^2 = 16
-        assert evaluate(bench.problem, y).violation > 0.0
+        assert at(bench.problem, y)[1] > 0.0
 
 
 class TestFeasibleRatio:
@@ -141,8 +145,7 @@ class TestFeasibleRatio:
             dimension=3,
             lower=np.zeros(3),
             upper=np.ones(3),
-            objective=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-            vectorized=True,
+            objective=lambda x: np.zeros(x.shape[0]),
         )
         assert feasible_ratio(p, samples=1000, seed=1) == 1.0
 
@@ -168,6 +171,19 @@ class TestFeasibleRatio:
         bench = load_problem("C07", source="zero")
         est = feasible_ratio(bench.problem, samples=200_000, seed=12)
         assert est == pytest.approx(0.5054, abs=5e-3)
+
+    def test_samples_scored_in_fixed_batches(self, monkeypatch):
+        rows = []
+
+        def counting(problem, points):
+            rows.append(points.shape[0])
+            return evaluate_many(problem, points)
+
+        monkeypatch.setattr(cec2010, "evaluate_many", counting)
+        p = Problem(dimension=1, lower=np.zeros(1), upper=np.ones(1),
+                    objective=lambda x: np.zeros(x.shape[0]))
+        assert feasible_ratio(p, samples=2 * 65536 + 5, seed=1) == 1.0
+        assert rows == [65536, 65536, 5]
 
     def test_sample_validation(self):
         bench = load_problem("C01")

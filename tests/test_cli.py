@@ -91,6 +91,43 @@ class TestRunCommand:
         assert any(name in err for name in named), err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("ini, named", [
+        ("[variant]\nk_directions = 3.5\n", ["'k_directions'", "[variant]", "3.5"]),
+        ("[engine]\nsigma = lots\n", ["'sigma'", "[engine]", "lots"]),
+        ("[variant]\nwarp_speed = 9\n", ["'warp_speed'", "[variant]"]),
+        ("[mystery]\nx = 1\n", ["[mystery]"]),
+        ("k_directions = 3\n", ["section header"]),
+        ("[variant]\np_g = 0.1\np_g = 0.2\n", ["'p_g'", "'variant'"]),
+    ])
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, ini, named):
+        (tmp_path / "exp.ini").write_text(ini)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "C01", "--variant", "wrfssg", "--iterations", "5",
+                     "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for word in named + ["exp.ini"]:
+            assert word in err, err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flags, ini", [
+        ("run", ["--delta", "-1"], ""),
+        ("run", ["--violation-exponent", "0"], ""),
+        ("run", [], "[problem]\ndelta = -1\n"),
+        ("run", [], "[problem]\nviolation_exponent = 0\n"),
+        ("batch", ["--delta", "-1"], ""),
+    ])
+    def test_bad_problem_parameter_leaves_no_output(self, tmp_path, capsys, command, flags, ini):
+        args = [command, "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
+                "--out", str(tmp_path / "x")] + flags
+        if ini:
+            (tmp_path / "exp.ini").write_text(ini)
+            args += ["--config", str(tmp_path / "exp.ini")]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert "delta" in err or "violation_exponent" in err, err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_problem_is_runtime_error(self, tmp_path, capsys):
         code = run_cli([
             "run", "--problem", "C99", "--variant", "wrfss",

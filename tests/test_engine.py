@@ -20,7 +20,6 @@ def sphere(d=4, lo=-10.0, hi=10.0):
         lower=np.full(d, lo),
         upper=np.full(d, hi),
         objective=lambda x: (np.asarray(x) ** 2).sum(axis=-1),
-        vectorized=True,
         name="sphere",
     )
 
@@ -33,7 +32,6 @@ def ring(d=3):
         upper=np.full(d, 5.0),
         objective=lambda x: np.asarray(x)[..., 0],
         inequalities=(lambda x: (np.asarray(x) ** 2).sum(axis=-1) - 1.0,),
-        vectorized=True,
         name="ring",
     )
 
@@ -49,7 +47,6 @@ def hopeless(d=3):
         objective=lambda x: (np.asarray(x) ** 2).sum(axis=-1),
         equalities=(lambda x: ((np.asarray(x) + 1.0) ** 2).sum(axis=-1) + 1.0,),
         delta=1e-4,
-        vectorized=True,
         name="hopeless",
     )
 
@@ -223,7 +220,7 @@ class TestRun:
             dimension=2,
             lower=np.full(2, -1.0),
             upper=np.full(2, 1.0),
-            objective=lambda x: float("nan"),
+            objective=lambda x: np.full(x.shape[0], np.nan),
         )
         rec = run(bad, Variant("base"), EngineParams(n_fish=4, iterations=10), seed=1)
         assert rec.aborted
@@ -243,10 +240,11 @@ class TestRun:
         calls = {"n": 0}
 
         def objective(x):
+            # the seventh batch is the candidates of the third iteration
             calls["n"] += 1
-            if calls["n"] > 30:
-                return float("nan")
-            return float(np.sum(np.asarray(x) ** 2))
+            if calls["n"] > 6:
+                return np.full(x.shape[0], np.nan)
+            return (x**2).sum(axis=-1)
 
         bad = Problem(
             dimension=2,
@@ -256,7 +254,9 @@ class TestRun:
         )
         rec = run(bad, Variant("base"), EngineParams(n_fish=5, iterations=50), seed=1)
         assert rec.aborted
-        assert rec.trace_iteration.size >= 1
+        assert "objective" in rec.error
+        assert list(rec.trace_iteration) == [0, 1, 2]
+        assert rec.eval_count == 6 * 5
 
     def test_aborted_gradient_run_counts_completed_calls(self):
         # every fish probes; the third probe of the second iteration fails,
@@ -273,7 +273,7 @@ class TestRun:
 
         problem = Problem(
             dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
-            objective=objective, inequalities=(lambda x: x[:, 0] - 1.0,), vectorized=True,
+            objective=objective, inequalities=(lambda x: x[:, 0] - 1.0,),
         )
         variant = Variant("gradient", k_directions=4, p_g=1.0)
         rec = run(problem, variant, EngineParams(n_fish=n, iterations=50), seed=5)
@@ -338,8 +338,11 @@ class TestRun:
             EngineParams(n_fish=0)
         with pytest.raises(ValueError):
             EngineParams(sigma=1.5)
-        with pytest.raises(ValueError):
-            EngineParams(w_scale=1.0)
+        for w_scale in (1.0, 1.5, math.nan):
+            # below 2 the start weight w_scale / 2 would fall under 1
+            with pytest.raises(ValueError, match="w_scale"):
+                EngineParams(w_scale=w_scale)
+        EngineParams(w_scale=2.0)
         for bad in (dict(step_ind_final=0.5), dict(step_ind_final=-1e-3),
                     dict(step_vol_initial=0.0001), dict(step_vol_final=-1e-3)):
             with pytest.raises(ValueError, match="step_"):

@@ -8,7 +8,7 @@ from wrfss.school import School
 
 
 def box(d, lo=-100.0, hi=100.0, **kw):
-    return Problem(dimension=d, lower=np.full(d, lo), upper=np.full(d, hi), vectorized=True, **kw)
+    return Problem(dimension=d, lower=np.full(d, lo), upper=np.full(d, hi), **kw)
 
 
 def rows_of(fn):
@@ -206,8 +206,7 @@ class TestProbeMove:
             return np.zeros(x.shape[0])
 
         lower, upper = np.array([0.0, -50.0]), np.array([10.0, 50.0])
-        problem = Problem(dimension=2, lower=lower, upper=upper, objective=objective,
-                          vectorized=True)
+        problem = Problem(dimension=2, lower=lower, upper=upper, objective=objective)
         params = EngineParams(n_fish=4, iterations=2)
         run(problem, Variant("gradient", k_directions=5, p_g=1.0), params, seed=3)
         assert len(steps) == 8

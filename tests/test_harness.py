@@ -171,10 +171,11 @@ class TestRunBatch:
         calls = {"n": 0}
 
         def objective(x):
+            # one run scores 1 + 2 * 20 batches; the 60th falls in the second run
             calls["n"] += 1
-            if calls["n"] == 300:
-                return float("nan")
-            return float(np.sum(np.asarray(x) ** 2))
+            if calls["n"] == 60:
+                return np.full(x.shape[0], np.nan)
+            return (x**2).sum(axis=-1)
 
         problem = Problem(
             dimension=2,
@@ -186,7 +187,7 @@ class TestRunBatch:
         stats, records = run_batch(config, problem=problem)
         assert stats.failed_runs == 1
         assert stats.completed_runs == 1
-        assert any(r.aborted for r in records)
+        assert [r.aborted for r in records] == [False, True]
 
 
 class TestReports:
@@ -319,6 +320,12 @@ class TestConfigFile:
         ini = tmp_path / "exp.ini"
         ini.write_text("[mystery]\nx = 1\n")
         with pytest.raises(ValueError, match="mystery"):
+            read_config_file(ini)
+
+    def test_bad_value_names_key_section_and_file(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[engine]\nn_fish = 3.5\n")
+        with pytest.raises(ValueError, match=r"'n_fish' in section \[engine\] of .*exp\.ini"):
             read_config_file(ini)
 
     def test_missing_file(self, tmp_path):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from wrfss.problem import (
-    Evaluation,
-    EvaluationError,
-    Problem,
-    evaluate,
-    evaluate_many,
-    relax_equalities,
-)
+import wrfss
+from wrfss import problem as problem_module
+from wrfss.problem import EvaluationError, Problem, evaluate_many
 
 
 def box(d, lo, hi, **kw):
@@ -20,6 +15,17 @@ def box(d, lo, hi, **kw):
     )
 
 
+def zeros(x):
+    return np.zeros(x.shape[0])
+
+
+def at(problem, x):
+    """(fitness, violation) of one point, scored as a one-row batch."""
+    f, v = evaluate_many(problem, np.atleast_2d(np.asarray(x, dtype=float)))
+    assert f.shape == v.shape == (1,)
+    return float(f[0]), float(v[0])
+
+
 @pytest.fixture
 def simple():
     # f(x) = x0, one inequality active for x0 > 2, one equality x1 = 1.
@@ -27,24 +33,21 @@ def simple():
         2,
         -10,
         10,
-        objective=lambda x: x[0],
-        inequalities=(lambda x: x[0] - 2.0,),
-        equalities=(lambda x: x[1] - 1.0,),
+        objective=lambda x: x[:, 0],
+        inequalities=(lambda x: x[:, 0] - 2.0,),
+        equalities=(lambda x: x[:, 1] - 1.0,),
         delta=1e-4,
     )
 
 
 def test_feasible_point_has_zero_violation(simple):
-    ev = evaluate(simple, [0.0, 1.0])
-    assert ev.violation == 0.0
-    assert ev.feasible
-    assert ev.fitness == 0.0
+    assert at(simple, [0.0, 1.0]) == (0.0, 0.0)
 
 
 def test_single_inequality_linear_exponent():
-    p = box(1, -10, 10, objective=lambda x: 0.0, inequalities=(lambda x: x[0],))
+    p = box(1, -10, 10, objective=zeros, inequalities=(lambda x: x[:, 0],))
     # g(x) = 3, p = 1 -> violation 3
-    assert evaluate(p, [3.0]).violation == 3.0
+    assert at(p, [3.0])[1] == 3.0
 
 
 def test_single_equality_quadratic_exponent():
@@ -52,48 +55,47 @@ def test_single_equality_quadratic_exponent():
         1,
         -10,
         10,
-        objective=lambda x: 0.0,
-        equalities=(lambda x: x[0],),
+        objective=zeros,
+        equalities=(lambda x: x[:, 0],),
         delta=1e-4,
         violation_exponent=2.0,
     )
     # |h| - delta = 0.4999, squared by hand
     expected = (0.5 - 1e-4) ** 2
     assert expected == 0.24990001
-    assert evaluate(p, [0.5]).violation == pytest.approx(expected, abs=0.0)
+    assert at(p, [0.5])[1] == pytest.approx(expected, abs=0.0)
 
 
 def test_equality_within_tolerance_is_feasible():
-    p = box(1, -1, 1, objective=lambda x: 0.0, equalities=(lambda x: x[0],), delta=1e-4)
-    assert evaluate(p, [0.0]).feasible
+    p = box(1, -1, 1, objective=zeros, equalities=(lambda x: x[:, 0],), delta=1e-4)
+    assert at(p, [0.0])[1] == 0.0
     # boundary case |h| - delta = 0 counts as satisfied
-    assert evaluate(p, [1e-4]).feasible
-    assert not evaluate(p, [2e-4]).feasible
+    assert at(p, [1e-4])[1] == 0.0
+    assert at(p, [2e-4])[1] > 0.0
 
 
 def test_violation_nonnegative_and_monotone():
-    p = box(1, -100, 100, objective=lambda x: 0.0, inequalities=(lambda x: x[0],))
+    p = box(1, -100, 100, objective=zeros, inequalities=(lambda x: x[:, 0],))
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(-100, 100, 200))
-    viols = [evaluate(p, [x]).violation for x in xs]
+    viols = [at(p, [x])[1] for x in xs]
     assert all(v >= 0.0 for v in viols)
     # increasing the breach never decreases the measure
     assert all(b >= a for a, b in zip(viols, viols[1:]))
 
 
 def test_feasible_iff_zero_violation():
-    p = box(1, -5, 5, objective=lambda x: 0.0, inequalities=(lambda x: x[0],))
+    # zero violation exactly where the constraint holds, g(x) = x0 <= 0
+    p = box(1, -5, 5, objective=zeros, inequalities=(lambda x: x[:, 0],))
     rng = np.random.default_rng(4)
-    for x in rng.uniform(-5, 5, 100):
-        ev = evaluate(p, [x])
-        assert ev.feasible == (ev.violation == 0.0)
+    xs = np.concatenate([rng.uniform(-5, 5, 100), [0.0]])
+    _, v = evaluate_many(p, xs[:, None])
+    assert np.array_equal(v == 0.0, xs <= 0.0)
 
 
 def test_evaluate_is_pure(simple):
     x = [1.5, 0.4]
-    first = evaluate(simple, x)
-    second = evaluate(simple, x)
-    assert first == second
+    assert at(simple, x) == at(simple, x)
 
 
 def test_evaluation_error_carries_constraint_index():
@@ -101,87 +103,114 @@ def test_evaluation_error_carries_constraint_index():
         1,
         -1,
         1,
-        objective=lambda x: 0.0,
-        inequalities=(lambda x: 0.0, lambda x: float("inf")),
+        objective=zeros,
+        inequalities=(zeros, lambda x: np.full(x.shape[0], np.inf)),
     )
     with pytest.raises(EvaluationError) as err:
-        evaluate(p, [0.0])
+        at(p, [0.0])
     assert err.value.kind == "inequality"
     assert err.value.index == 1
 
-    p2 = box(1, -1, 1, objective=lambda x: float("nan"))
+    p2 = box(1, -1, 1, objective=lambda x: np.full(x.shape[0], np.nan))
     with pytest.raises(EvaluationError) as err2:
-        evaluate(p2, [0.0])
+        at(p2, [0.0])
     assert err2.value.kind == "objective"
     assert err2.value.index is None
 
 
-def test_relax_equalities_structure_and_boundary():
-    p = box(1, -1, 1, objective=lambda x: 0.0, equalities=(lambda x: x[0],), delta=1e-4)
-    relaxed = relax_equalities(p, 1e-4)
-    assert relaxed.n_equalities == 0
-    assert relaxed.n_inequalities == 1
-    assert evaluate(relaxed, [0.0]).feasible
-    # |h| - delta = 0 at the boundary -> still feasible
-    assert evaluate(relaxed, [1e-4]).feasible
-    assert not evaluate(relaxed, [2e-4]).feasible
-    with pytest.raises(ValueError):
-        relax_equalities(p, 0.0)
-
-
-def test_relaxed_violation_matches_original(simple):
-    relaxed = relax_equalities(simple, simple.delta)
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = rng.uniform(-10, 10, 2)
-        assert evaluate(relaxed, x).violation == pytest.approx(
-            evaluate(simple, x).violation, rel=0, abs=0
-        )
-
-
 def test_evaluate_many_matches_per_point():
+    # per-row oracle of the violation measure, written out for this problem
+    def oracle(x, delta=1e-4, p=2.0):
+        g = x[0] - 1.0
+        h = x[1]
+        return float(x @ x), max(0.0, g) ** p + max(0.0, abs(h) - delta) ** p
+
     p = box(
         3,
         -5,
         5,
-        objective=lambda x: (np.asarray(x) ** 2).sum(axis=-1),
-        inequalities=(lambda x: np.asarray(x)[..., 0] - 1.0,),
-        equalities=(lambda x: np.asarray(x)[..., 1],),
-        vectorized=True,
+        objective=lambda x: (x**2).sum(axis=-1),
+        inequalities=(lambda x: x[:, 0] - 1.0,),
+        equalities=(lambda x: x[:, 1],),
+        violation_exponent=2.0,
     )
     rng = np.random.default_rng(5)
     pts = rng.uniform(-5, 5, (40, 3))
     f, v = evaluate_many(p, pts)
     for i, row in enumerate(pts):
-        ev = evaluate(p, row)
-        assert f[i] == ev.fitness
-        assert v[i] == ev.violation
+        fi, vi = oracle(row)
+        assert f[i] == pytest.approx(fi, rel=1e-15)
+        assert v[i] == pytest.approx(vi, rel=1e-12)
+        # a row's values do not depend on the rest of the batch
+        assert (f[i], v[i]) == at(p, row)
 
 
-def test_evaluate_many_loop_fallback():
-    p = box(2, -5, 5, objective=lambda x: x[0] + x[1], inequalities=(lambda x: x[0],))
-    pts = np.array([[1.0, 2.0], [-1.0, 0.5]])
-    f, v = evaluate_many(p, pts)
-    assert np.allclose(f, [3.0, -0.5])
-    assert np.allclose(v, [1.0, 0.0])
+class TestShapeContract:
+    """Every problem function must map an (n, D) batch to n values."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_per_point_callable_rejected(self, n):
+        # x[0] is the first row of a batch; on a square batch it has n values
+        p = box(3, -1, 1, objective=zeros, inequalities=(lambda x: x[0],))
+        pts = np.arange(3.0 * n).reshape(n, 3) / 10.0
+        with pytest.raises(ValueError, match=r"inequality\[0\].*returned shape \(3,\)") as err:
+            evaluate_many(p, pts)
+        expected = "(1, 3)" if n == 3 else f"({n}, 3)"
+        assert f"points of shape {expected}" in str(err.value)
+
+    def test_scalar_objective_rejected(self):
+        p = box(2, -1, 1, objective=lambda x: 0.0)
+        with pytest.raises(ValueError, match=r"objective .*returned shape \(\).*expected \(4,\)"):
+            evaluate_many(p, np.zeros((4, 2)))
+
+    def test_equality_with_column_shape_rejected(self):
+        p = box(2, -1, 1, objective=zeros, equalities=(zeros, lambda x: x[:, :1]))
+        with pytest.raises(ValueError, match=r"equality\[1\].*returned shape \(4, 1\)"):
+            evaluate_many(p, np.zeros((4, 2)))
+
+    def test_shape_error_is_not_an_evaluation_error(self):
+        # run() reports an EvaluationError on the record; a broken contract raises
+        p = box(2, -1, 1, objective=lambda x: np.full(2, np.nan))
+        with pytest.raises(ValueError) as err:
+            evaluate_many(p, np.zeros((2, 2)))
+        assert not isinstance(err.value, EvaluationError)
+
+    def test_square_batch_of_batch_function_accepted(self):
+        calls = []
+
+        def objective(x):
+            calls.append(x.shape)
+            return x[:, 0]
+
+        p = box(3, -1, 1, objective=objective)
+        pts = np.arange(9.0).reshape(3, 3) / 10.0
+        f, _ = evaluate_many(p, pts)
+        assert np.array_equal(f, pts[:, 0])
+        # the square batch is also checked on its first point alone
+        assert calls == [(3, 3), (1, 3)]
+        calls.clear()
+        evaluate_many(p, pts[:2])
+        assert calls == [(2, 3)]
+
+
+def test_removed_per_point_names_are_gone():
+    for name in ("evaluate", "Evaluation", "relax_equalities"):
+        assert not hasattr(problem_module, name)
+        assert name not in wrfss.__all__
+    assert "vectorized" not in Problem.__dataclass_fields__
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        box(0, 0, 1, objective=lambda x: 0.0)
+        box(0, 0, 1, objective=zeros)
     with pytest.raises(ValueError):
         Problem(
             dimension=1,
             lower=np.array([1.0]),
             upper=np.array([1.0]),
-            objective=lambda x: 0.0,
+            objective=zeros,
         )
     with pytest.raises(ValueError):
-        box(1, 0, 1, objective=lambda x: 0.0, equalities=(lambda x: x[0],), delta=0.0)
+        box(1, 0, 1, objective=zeros, equalities=(lambda x: x[:, 0],), delta=0.0)
     with pytest.raises(ValueError):
-        box(1, 0, 1, objective=lambda x: 0.0, violation_exponent=0.0)
-
-
-def test_evaluation_feasible_property():
-    assert Evaluation(1.0, 0.0).feasible
-    assert not Evaluation(1.0, 1e-12).feasible
+        box(1, 0, 1, objective=zeros, violation_exponent=0.0)

@@ -1,0 +1,102 @@
+"""Engine invariants checked over random batch problems through the real run()."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wrfss.engine import VARIANT_KINDS, EngineParams, Variant, run
+from wrfss.problem import Problem
+
+unit = st.floats(0.0, 1.0)
+
+
+def _linear(w, b):
+    return lambda x: x @ w - b
+
+
+@st.composite
+def problems(draw):
+    """A quadratic objective with 0-2 linear inequalities and 0-1 linear equalities."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = rng.uniform(-50.0, 10.0, d)
+    upper = lower + rng.uniform(0.5, 60.0, d)
+    center, scale = rng.uniform(lower, upper), rng.uniform(0.0, 3.0, d)
+    inequalities = tuple(
+        _linear(rng.normal(size=d), rng.normal()) for _ in range(draw(st.integers(0, 2)))
+    )
+    equalities = tuple(
+        _linear(rng.normal(size=d), rng.normal()) for _ in range(draw(st.integers(0, 1)))
+    )
+    return Problem(
+        dimension=d, lower=lower, upper=upper,
+        objective=lambda x: (scale * (x - center) ** 2).sum(axis=1),
+        inequalities=inequalities, equalities=equalities,
+        delta=draw(st.sampled_from([1e-4, 0.1, 1.0])),
+        violation_exponent=draw(st.sampled_from([1.0, 2.0])),
+    )
+
+
+@st.composite
+def engine_params(draw):
+    step_ind, step_vol = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+    return EngineParams(
+        n_fish=draw(st.integers(1, 8)),
+        iterations=draw(st.integers(0, 12)),
+        sigma=draw(unit),
+        tau=draw(st.floats(0.0, 1.0)),
+        w_scale=draw(st.floats(2.0, 1e4)),
+        step_ind_initial=step_ind,
+        step_ind_final=step_ind * draw(unit),
+        step_vol_initial=step_vol,
+        step_vol_final=step_vol * draw(unit),
+        sar_alpha0=draw(unit),
+        sar_decay=draw(st.floats(0.0, 1.0)),
+    )
+
+
+def variants(kind):
+    return st.builds(
+        Variant,
+        kind=st.just(kind),
+        tc_fraction=st.floats(0.05, 1.0),
+        cp_min=st.floats(0.5, 8.0),
+        epsilon0=st.none() | st.floats(0.0, 10.0),
+        k_directions=st.integers(1, 4),
+        p_g=unit,
+    )
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_run_invariants(kind, data):
+    problem = data.draw(problems())
+    params = data.draw(engine_params())
+    variant = data.draw(variants(kind))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    seen = []
+
+    def observe(t, school, links):
+        seen.append(t)
+        assert np.all(school.positions >= problem.lower)
+        assert np.all(school.positions <= problem.upper)
+        assert np.all(school.weights >= 1.0) and np.all(school.weights <= params.w_scale)
+        assert links.is_forest()
+
+    rec = run(problem, variant, params, seed=seed, observer=observe)
+    assert not rec.aborted
+    assert seen == list(range(params.iterations))
+    assert np.all(rec.best_position >= problem.lower)
+    assert np.all(rec.best_position <= problem.upper)
+    # the best-so-far violation never grows; once zero, neither does the fitness
+    v, f = rec.trace_best_violation, rec.trace_best_fitness
+    assert np.all(np.diff(v) <= 0.0)
+    feasible = v[:-1] == 0.0
+    assert np.all(np.diff(f)[feasible] <= 0.0)
+    assert rec.eval_count == (
+        params.n_fish * (1 + 2 * params.iterations) + (problem.dimension + 1) * rec.probe_count
+    )
+    if kind != "gradient":
+        assert rec.probe_count == 0

@@ -14,7 +14,6 @@ def box(d=2, lo=-10.0, hi=10.0, objective=None):
         lower=np.full(d, lo),
         upper=np.full(d, hi),
         objective=objective or (lambda x: (np.asarray(x) ** 2).sum(axis=-1)),
-        vectorized=True,
     )
 
 
