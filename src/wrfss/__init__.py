@@ -13,7 +13,7 @@ from .constraint_handling import (
     initial_epsilon,
     normalized_feeding,
 )
-from .engine import EngineParams, PhaseController, RunRecord, Variant, decide_phase, run
+from .engine import EngineParams, RunRecord, Variant, decide_phase, run
 from .gradient import forward_gradient, pick_direction
 from .niching import LinkGraph, leader_instinctive_step, leader_volitive_step, link_formator
 from .problem import EvaluationError, Problem, evaluate_many
@@ -41,7 +41,6 @@ __all__ = [
     "pick_direction",
     "Variant",
     "EngineParams",
-    "PhaseController",
     "RunRecord",
     "decide_phase",
     "run",

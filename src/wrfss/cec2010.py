@@ -35,6 +35,7 @@ __all__ = [
     "DATA_ENV_VAR",
     "BenchDataError",
     "BenchProblem",
+    "resolve_source",
     "load_problem",
     "feasible_ratio",
     "known_reference_values",
@@ -87,8 +88,6 @@ class BenchProblem:
 
     pid: str
     problem: Problem
-    equality_count: int
-    inequality_count: int
     published_ratio: float
     data_source: str
     shift: np.ndarray
@@ -238,6 +237,31 @@ def _read_data_file(pid: str, data_dir: Path) -> tuple[np.ndarray, np.ndarray | 
     return shift, rotation
 
 
+def resolve_source(
+    data_dir: str | Path | None = None, source: str | None = None
+) -> tuple[str, Path | None]:
+    """The data source label and, for files, the directory ``load_problem`` reads.
+
+    ``source`` is "files" (the given ``data_dir`` or the directory named by
+    WRFSS_CEC2010_DATA), "surrogate", or "zero". With source=None, files are
+    used when a directory is known and the surrogate otherwise. The label is
+    "files:<dir>", "surrogate" or "zero". Reads no data file.
+    """
+    if source not in (None, "files", "surrogate", "zero"):
+        raise ValueError(f"source must be files, surrogate or zero, got {source!r}")
+    if data_dir is None and source in (None, "files"):
+        data_dir = os.environ.get(DATA_ENV_VAR) or None
+    if source is None:
+        source = "files" if data_dir is not None else "surrogate"
+    if source != "files":
+        return source, None
+    if data_dir is None:
+        raise BenchDataError(
+            f"no benchmark data directory given (set {DATA_ENV_VAR} or pass data_dir)"
+        )
+    return f"files:{data_dir}", Path(data_dir)
+
+
 def load_problem(
     pid: str,
     data_dir: str | Path | None = None,
@@ -247,37 +271,19 @@ def load_problem(
 ) -> BenchProblem:
     """Build one suite problem at 10D with the equality tolerance applied.
 
-    ``source`` selects where shift/rotation data comes from: "files" (the
-    given ``data_dir`` or the directory named by WRFSS_CEC2010_DATA),
-    "surrogate", or "zero". With source=None, files are used when a directory
-    is known and the surrogate otherwise.
+    ``data_dir`` and ``source`` select where the shift/rotation data comes
+    from, as described in ``resolve_source``.
     """
     if pid not in PROBLEM_IDS:
         raise ValueError(f"unknown problem id {pid!r}; choose one of {PROBLEM_IDS}")
-    if source not in (None, "files", "surrogate", "zero"):
-        raise ValueError(f"source must be files, surrogate or zero, got {source!r}")
-
-    if data_dir is None and source in (None, "files"):
-        env = os.environ.get(DATA_ENV_VAR)
-        if env:
-            data_dir = env
-    if source is None:
-        source = "files" if data_dir is not None else "surrogate"
-
-    if source == "files":
-        if data_dir is None:
-            raise BenchDataError(
-                f"no benchmark data directory given (set {DATA_ENV_VAR} or pass data_dir)"
-            )
-        shift, rotation = _read_data_file(pid, Path(data_dir))
-        source_label = f"files:{data_dir}"
-    elif source == "surrogate":
+    source_label, directory = resolve_source(data_dir, source)
+    if directory is not None:
+        shift, rotation = _read_data_file(pid, directory)
+    elif source_label == "surrogate":
         shift, rotation = _surrogate_data(pid)
-        source_label = "surrogate"
     else:
         shift = np.zeros(DIMENSION)
         rotation = np.eye(DIMENSION) if pid in _ROTATED else None
-        source_label = "zero"
 
     problem = _build_problem(pid, shift, rotation, delta, violation_exponent)
     lo, hi, n_eq, n_ineq, ratio = _TABLE1[pid]
@@ -286,8 +292,6 @@ def load_problem(
     return BenchProblem(
         pid=pid,
         problem=problem,
-        equality_count=n_eq,
-        inequality_count=n_ineq,
         published_ratio=ratio,
         data_source=source_label,
         shift=shift,

@@ -56,11 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # Each subcommand's parser reports the usage errors found after parsing.
     p_run = subs.add_parser("run", help="run one experiment with a single seed")
+    p_run.set_defaults(parser=p_run)
     _add_common(p_run)
     p_run.add_argument("--seed", type=int, default=1000)
 
     p_batch = subs.add_parser("batch", help="run a problem x variant grid")
+    p_batch.set_defaults(parser=p_batch)
     _add_common(p_batch)
     p_batch.add_argument("--problems", help="comma-separated problem ids (overrides --problem)")
     p_batch.add_argument("--variants", help="comma-separated variants (overrides --variant)")
@@ -70,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--from-manifest", help="re-run the batch described by a manifest file")
 
     p_table = subs.add_parser("table1", help="estimate feasible-region ratios by sampling")
+    p_table.set_defaults(parser=p_table)
     p_table.add_argument("--samples", type=int, default=1_000_000)
     p_table.add_argument("--seed", type=int, default=7)
     p_table.add_argument("--data-dir")
@@ -79,20 +83,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  problem: str, variant: str, run_count: int, base_seed: int,
-                  output_dir: str) -> harness.ExperimentConfig:
+def _merge_config(args: argparse.Namespace, problem: str, variant: str, run_count: int,
+                  base_seed: int, output_dir: str) -> harness.ExperimentConfig:
     kwargs: dict = {}
     if args.preset == "paper":
         if not problem or not variant:
-            parser.error("--preset paper requires --problem and --variant")
+            args.parser.error("--preset paper requires --problem and --variant")
         preset = harness.paper_preset(problem, variant, desk=args.desk)
         kwargs.update(dataclasses.asdict(preset))
     if args.config:
         try:
             kwargs.update(harness.read_config_file(args.config))
         except (ValueError, configparser.Error) as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     kwargs["problem_id"] = kwargs.get("problem_id", problem) if problem is None else problem
     kwargs["variant"] = kwargs.get("variant", variant) if variant is None else variant
     kwargs.update(
@@ -109,26 +112,27 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if value is not None:
             kwargs[name] = value
     if not kwargs.get("problem_id") or not kwargs.get("variant"):
-        parser.error("a problem and a variant are required (flags, preset, or config file)")
+        args.parser.error("a problem and a variant are required (flags, preset, or config file)")
     try:
         return harness.ExperimentConfig(**kwargs)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 def _execute_batch(config: harness.ExperimentConfig, jobs: int) -> None:
-    config.load_problem()  # bad problem parameters fail before the output directory exists
+    problem = config.load_problem()  # bad problem parameters fail before the output directory exists
     harness.prepare_output_dir(config.output_dir)
-    stats, records = harness.run_batch(config, n_jobs=jobs)
+    # Worker processes rebuild the problem from the config.
+    in_process = jobs == 1 or config.run_count == 1
+    stats, records = harness.run_batch(config, problem if in_process else None, n_jobs=jobs)
     paths = harness.emit_reports(config, stats, records)
     print(paths["summary_txt"].read_text(), end="")
     print(f"reports written to {Path(config.output_dir).resolve()}")
 
 
-def _cmd_run(args, parser) -> int:
+def _cmd_run(args) -> int:
     config = _merge_config(
         args,
-        parser,
         problem=args.problem,
         variant=args.variant,
         run_count=1,
@@ -139,9 +143,9 @@ def _cmd_run(args, parser) -> int:
     return 0
 
 
-def _cmd_batch(args, parser) -> int:
+def _cmd_batch(args) -> int:
     if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+        args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.from_manifest:
         config = harness.config_from_manifest(args.from_manifest)
         if args.out:
@@ -153,14 +157,13 @@ def _cmd_batch(args, parser) -> int:
     problems = [p.strip() for p in problems if p.strip()]
     variants = [v.strip() for v in variants if v.strip()]
     if not problems or not variants:
-        parser.error("batch requires problems and variants (flags, or --from-manifest)")
+        args.parser.error("batch requires problems and variants (flags, or --from-manifest)")
     base_out = Path(args.out or "out")
     for pid in problems:
         for variant in variants:
             out_dir = base_out / f"{pid}_{variant}" if len(problems) * len(variants) > 1 else base_out
             config = _merge_config(
                 args,
-                parser,
                 problem=pid,
                 variant=variant,
                 run_count=args.runs,
@@ -172,6 +175,10 @@ def _cmd_batch(args, parser) -> int:
 
 
 def _cmd_table1(args) -> int:
+    if args.samples < 1:
+        args.parser.error(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        args.parser.error(f"--seed must be >= 0, got {args.seed}")
     print(f"{'problem':<8}{'estimated':>12}{'published':>12}{'abs diff':>12}  data source")
     used_fallback = False
     for pid in cec2010.PROBLEM_IDS:
@@ -206,13 +213,12 @@ def _cmd_presets() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args, parser)
+            return _cmd_run(args)
         if args.command == "batch":
-            return _cmd_batch(args, parser)
+            return _cmd_batch(args)
         if args.command == "table1":
             return _cmd_table1(args)
         if args.command == "presets":

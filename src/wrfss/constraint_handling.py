@@ -124,7 +124,3 @@ class RunningExtremes:
         if values.size:
             self.min = min(self.min, float(values.min()))
             self.max = max(self.max, float(values.max()))
-
-    @property
-    def seen_any(self) -> bool:
-        return self.min <= self.max

@@ -46,7 +46,6 @@ __all__ = [
     "VARIANT_KINDS",
     "Variant",
     "EngineParams",
-    "PhaseController",
     "RunRecord",
     "decide_phase",
     "run",
@@ -147,22 +146,6 @@ def decide_phase(violations: np.ndarray, sigma: float) -> int:
 
 
 @dataclass
-class PhaseController:
-    """Tracks the active phase and applies the step boost once per 1->2 switch."""
-
-    sigma: float
-    tau: float
-    phase: int = 1
-
-    def step(self, violations: np.ndarray, schedule: StepSchedule, t: int) -> int:
-        new_phase = decide_phase(violations, self.sigma)
-        if new_phase == 2 and self.phase == 1:
-            schedule.boost(self.tau, t)
-        self.phase = new_phase
-        return new_phase
-
-
-@dataclass
 class RunRecord:
     """Per-iteration best-fish trace plus final statistics for one run.
 
@@ -197,33 +180,6 @@ class RunRecord:
     @property
     def best_feasible(self) -> bool:
         return self.best_violation == 0.0
-
-
-class _BestTracker:
-    """Historical best fish under the feasibility rules.
-
-    NaN until the first school is merged, which is what a run aborted at
-    its initial evaluation reports.
-    """
-
-    def __init__(self):
-        self.fitness = math.nan
-        self.violation = math.nan
-        self.position: np.ndarray | None = None
-
-    def merge_school(self, fitness: np.ndarray, violation: np.ndarray, positions: np.ndarray):
-        i = best_index(fitness, violation)
-        f, v = float(fitness[i]), float(violation[i])
-        cur_feas = self.violation == 0.0
-        new_feas = v == 0.0
-        better = (
-            (new_feas and not cur_feas)
-            or (new_feas and cur_feas and f < self.fitness)
-            or (not new_feas and not cur_feas and v < self.violation)
-        )
-        if self.position is None or better:
-            self.fitness, self.violation = f, v
-            self.position = positions[i].copy()
 
 
 def _active_objective(
@@ -290,8 +246,6 @@ def run(
     lower, upper, width = problem.lower, problem.upper, problem.range_width
 
     schedule = params.step_schedule()
-    controller = PhaseController(sigma=params.sigma, tau=params.tau)
-    tracker = _BestTracker()
     extremes = {1: RunningExtremes(), 2: RunningExtremes()}
     use_probe = variant.kind == "gradient" and variant.p_g > 0.0
     if variant.perturbation is None:
@@ -299,11 +253,11 @@ def run(
     else:
         e_vec = np.full(d, float(variant.perturbation))
 
-    trace_it: list[int] = []
-    trace_f: list[float] = []
-    trace_v: list[float] = []
-    trace_phase: list[int] = []
-    trace_feas: list[int] = []
+    trace = []  # rows of (iteration, best fitness, best violation, phase, feasible count)
+    # The feasibility-rules best so far; NaN until the initial school is scored.
+    best_f = best_v = math.nan
+    best_x = np.full(d, math.nan)
+    phase = 1  # so a school already feasible at t=0 gets one step boost
     eval_count = 0
     probe_count = 0
     aborted = False
@@ -316,12 +270,22 @@ def run(
         probe_count += 1
         return violation
 
+    def merge_best() -> None:
+        # The school's best replaces the incumbent only when strictly better.
+        nonlocal best_f, best_v, best_x
+        i = best_index(school.fitness, school.violation)
+        f, v = float(school.fitness[i]), float(school.violation[i])
+        if v < best_v if best_v > 0.0 else (v == 0.0 and f < best_f):
+            best_f, best_v, best_x = f, v, school.positions[i].copy()
+
     positions = lower + rng.random((n, d)) * width
     try:
         fitness, violation = evaluate_many(problem, positions)
         eval_count += n
         school = School.initial(positions, fitness, violation, params.w_scale)
-        tracker.merge_school(school.fitness, school.violation, school.positions)
+        i = best_index(school.fitness, school.violation)
+        best_f, best_v = float(school.fitness[i]), float(school.violation[i])
+        best_x = school.positions[i].copy()
         links = LinkGraph.empty(n)
 
         eps_schedule = None
@@ -332,11 +296,8 @@ def run(
             cutoff = int(round(variant.tc_fraction * params.iterations))
             eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
 
-        trace_it.append(0)
-        trace_f.append(tracker.fitness)
-        trace_v.append(tracker.violation)
-        trace_phase.append(decide_phase(school.violation, params.sigma))
-        trace_feas.append(int((school.violation == 0.0).sum()))
+        trace.append((0, best_f, best_v, decide_phase(school.violation, params.sigma),
+                      int((school.violation == 0.0).sum())))
 
         for t in range(params.iterations):
             # Start-of-iteration evaluation of the current positions (the
@@ -344,9 +305,12 @@ def run(
             # until here).
             school.fitness, school.violation = evaluate_many(problem, school.positions)
             eval_count += n
-            tracker.merge_school(school.fitness, school.violation, school.positions)
+            merge_best()
 
-            phase = controller.step(school.violation, schedule, t)
+            new_phase = decide_phase(school.violation, params.sigma)
+            if new_phase == 2 and phase == 1:
+                schedule.boost(params.tau, t)
+            phase = new_phase
             step_ind_frac, step_vol_frac = schedule.at(t)
             step_ind = step_ind_frac * width
             step_vol = step_vol_frac * width
@@ -376,7 +340,7 @@ def run(
                 better = cand_active < active
             accepted = better | (rng.random(n) < alpha)
             school.accept(accepted, candidates, cand_fitness, cand_violation, active - cand_active)
-            tracker.merge_school(school.fitness, school.violation, school.positions)
+            merge_best()
 
             # Feeding: normalize the active objective against its running extremes.
             active = _active_objective(school.fitness, school.violation, phase, variant)
@@ -397,30 +361,27 @@ def run(
                 rng.random((n, d)), lower, upper,
             )
 
-            trace_it.append(t + 1)
-            trace_f.append(tracker.fitness)
-            trace_v.append(tracker.violation)
-            trace_phase.append(phase)
-            trace_feas.append(int((school.violation == 0.0).sum()))
+            trace.append((t + 1, best_f, best_v, phase, int((school.violation == 0.0).sum())))
             if observer is not None:
                 observer(t, school, links)
     except EvaluationError as exc:
         aborted = True
         error = str(exc)
 
+    iteration, trace_f, trace_v, trace_phase, feasible_count = zip(*trace) if trace else [()] * 5
     return RunRecord(
         seed=seed,
         variant_kind=variant.kind,
         n_fish=n,
         iterations=params.iterations,
-        trace_iteration=np.array(trace_it, dtype=np.int64),
-        trace_best_fitness=np.array(trace_f),
-        trace_best_violation=np.array(trace_v),
+        trace_iteration=np.array(iteration, dtype=np.int64),
+        trace_best_fitness=np.array(trace_f, dtype=float),
+        trace_best_violation=np.array(trace_v, dtype=float),
         trace_phase=np.array(trace_phase, dtype=np.int64),
-        trace_feasible_count=np.array(trace_feas, dtype=np.int64),
-        best_fitness=tracker.fitness,
-        best_violation=tracker.violation,
-        best_position=tracker.position.copy() if tracker.position is not None else np.full(d, math.nan),
+        trace_feasible_count=np.array(feasible_count, dtype=np.int64),
+        best_fitness=best_f,
+        best_violation=best_v,
+        best_position=best_x,
         eval_count=eval_count,
         probe_count=probe_count,
         wall_time=time.perf_counter() - t_start,

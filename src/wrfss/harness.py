@@ -51,10 +51,9 @@ VARIANT_NAMES = {
 PAPER_ITERATIONS = 80000
 DESK_ITERATIONS = 5000
 
-# Per-problem preset knobs: epsilon decay sharpness and probe direction count
-# differ between the loosely and the heavily constrained problems.
-_PRESET_CP_MIN = {"C01": 3.0, "C07": 3.0, "C08": 3.0, "C03": 8.0, "C04": 8.0, "C06": 8.0, "C09": 8.0}
-_PRESET_K = {"C01": 200, "C07": 200, "C08": 200, "C03": 50, "C04": 50, "C06": 50, "C09": 50}
+# The equality-constrained problems get a sharper epsilon decay (cp_min 8
+# instead of 3) and fewer probe directions (50 instead of 200).
+_EQUALITY_CONSTRAINED = {"C03", "C04", "C06", "C09"}
 # (sigma, tau) per variant.
 _PRESET_SIGMA_TAU = {
     "wrfss": (0.05, 0.01),
@@ -107,6 +106,8 @@ class ExperimentConfig:
             )
         if self.run_count < 1:
             raise ValueError(f"run_count must be >= 1, got {self.run_count}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         # Reject bad engine and variant parameters before any run starts.
         self.engine_params()
         self.engine_variant()
@@ -128,10 +129,7 @@ class ExperimentConfig:
         return bench.problem
 
     def resolved_data_source(self) -> str:
-        bench = cec2010.load_problem(
-            self.problem_id, data_dir=self.data_dir, source=self.data_source
-        )
-        return bench.data_source
+        return cec2010.resolve_source(self.data_dir, self.data_source)[0]
 
 
 def _from_fields(cls, config: ExperimentConfig, **given):
@@ -170,6 +168,7 @@ def paper_preset(
             f"unknown problem id {problem_id!r}; choose one of {cec2010.PROBLEM_IDS}"
         )
     sigma, tau = _PRESET_SIGMA_TAU[variant]
+    cp_min, k_directions = (8.0, 50) if problem_id in _EQUALITY_CONSTRAINED else (3.0, 200)
     return ExperimentConfig(
         problem_id=problem_id,
         variant=variant,
@@ -180,9 +179,9 @@ def paper_preset(
         sigma=sigma,
         tau=tau,
         tc_fraction=0.60,
-        cp_min=_PRESET_CP_MIN[problem_id],
+        cp_min=cp_min,
         p_g=0.10,
-        k_directions=_PRESET_K[problem_id],
+        k_directions=k_directions,
     )
 
 

@@ -41,16 +41,6 @@ class LinkGraph:
     def size(self) -> int:
         return self.leader.shape[0]
 
-    def leader_of(self, i: int) -> int | None:
-        l = int(self.leader[i])
-        return None if l < 0 else l
-
-    def follower_weight_sum(self, i: int, weights: np.ndarray) -> float:
-        return float(weights[self.leader == i].sum())
-
-    def links(self) -> list[tuple[int, int]]:
-        return [(a, int(l)) for a, l in enumerate(self.leader) if l >= 0]
-
     def is_forest(self) -> bool:
         """Out-degree is <= 1 by construction; check every chain terminates."""
         n = self.size

@@ -103,14 +103,6 @@ class School:
             prev_total_weight=float(weights.sum()),
         )
 
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def accept(
         self,
         accepted: np.ndarray,
@@ -137,7 +129,7 @@ class School:
         Remembers the current total for the next call; the volitive movement
         contracts on a gain and expands otherwise.
         """
-        total = self.total_weight
+        total = float(self.weights.sum())
         gained = total > self.prev_total_weight
         self.prev_total_weight = total
         return gained

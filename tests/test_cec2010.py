@@ -41,8 +41,6 @@ def test_metadata_matches_published_table(pid):
     assert bench.problem.dimension == DIMENSION
     assert np.all(bench.problem.lower == lo)
     assert np.all(bench.problem.upper == hi)
-    assert bench.equality_count == n_eq
-    assert bench.inequality_count == n_ineq
     assert bench.published_ratio == ratio
     assert bench.problem.n_equalities == n_eq
     assert bench.problem.n_inequalities == n_ineq

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wrfss import cec2010
 from wrfss.cli import _build_parser, main
 
 
@@ -106,9 +107,39 @@ class TestRunCommand:
                      "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith("usage: wrfss run "), err
         for word in named + ["exp.ini"]:
             assert word in err, err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--seed", "-1"],
+        ["batch", "--runs", "2", "--base-seed", "-2"],
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, args):
+        args = args + ["--problem", "C01", "--variant", "wrfss", "--iterations", "3",
+                       "--out", str(tmp_path / "negs")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: wrfss {args[0]} ") and "base_seed" in err, err
+        assert not (tmp_path / "negs").exists()
+
+    def test_problem_loaded_once(self, tmp_path, monkeypatch):
+        loaded = []
+        load = cec2010.load_problem
+
+        def counting_load(pid, *args, **kwargs):
+            loaded.append(pid)
+            return load(pid, *args, **kwargs)
+
+        monkeypatch.setattr(cec2010, "load_problem", counting_load)
+        assert run_cli([
+            "run", "--problem", "C08", "--variant", "wrfss", "--iterations", "3",
+            "--n-fish", "4", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert loaded == ["C08"]
 
     @pytest.mark.parametrize("command, flags, ini", [
         ("run", ["--delta", "-1"], ""),
@@ -203,7 +234,8 @@ class TestBatchCommand:
                 "--iterations", "5", "--n-fish", "4", "--jobs", jobs, "--out", str(out),
             ])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wrfss batch ") and "--jobs" in err, err
         assert not out.exists()
 
     def test_batch_without_selection_is_usage_error(self):
@@ -277,6 +309,14 @@ class TestInformational:
         for pid in ("C01", "C03", "C09"):
             assert pid in out
         assert "fallback" in out
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "0")])
+    def test_bad_table1_argument_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["table1", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: wrfss table1 ") and flag in err, err
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -244,9 +244,9 @@ def test_best_index_follows_feasibility_rules():
 
 def test_running_extremes():
     ext = RunningExtremes()
-    assert not ext.seen_any
+    assert not ext.min <= ext.max  # nothing seen yet
     ext.update(np.array([3.0, -1.0]))
     ext.update(np.array([2.0]))
     assert ext.min == -1.0
     assert ext.max == 3.0
-    assert ext.seen_any
+    assert ext.min <= ext.max

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wrfss.engine import (
-    EngineParams,
-    PhaseController,
-    Variant,
-    decide_phase,
-    run,
-)
+from wrfss.engine import EngineParams, Variant, decide_phase, run
 from wrfss.problem import Problem
 from wrfss.school import StepSchedule
 
@@ -82,29 +76,57 @@ class TestDecidePhase:
         assert decide_phase(violations, 0.25) == 2
 
 
-class TestPhaseController:
-    def test_boost_applied_once_per_transition(self):
-        schedule = StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=100)
-        ctrl = PhaseController(sigma=0.5, tau=0.3)
-        feasible = np.zeros(4)  # all feasible
-        infeasible = np.ones(4)
-        assert ctrl.step(infeasible, schedule, 0) == 1
-        assert schedule.at(0) == (0.1, 0.2)
-        assert ctrl.step(feasible, schedule, 1) == 2  # 1 -> 2: boost
-        boosted = schedule.at(1)
-        assert boosted[0] == pytest.approx(0.099 * 1.3)
-        assert ctrl.step(feasible, schedule, 2) == 2  # stays 2: no extra boost
-        assert schedule.at(2)[0] < boosted[0]
-        assert ctrl.step(infeasible, schedule, 3) == 1  # flip back
-        before_second_boost = schedule.at(4)
-        assert ctrl.step(feasible, schedule, 4) == 2  # boosts again
-        assert schedule.at(4)[0] == pytest.approx(before_second_boost[0] * 1.3)
+@pytest.fixture
+def boosts(monkeypatch):
+    """The (tau, t) of every StepSchedule.boost call; each call still boosts."""
+    calls = []
+    boost = StepSchedule.boost
 
-    def test_tau_zero_is_identity(self):
-        schedule = StepSchedule(0.1, 0.1, 0.2, 0.2, horizon=10)
-        ctrl = PhaseController(sigma=0.0, tau=0.0)
-        ctrl.step(np.ones(3), schedule, 0)
-        assert schedule.at(0) == (0.1, 0.2)
+    def counting_boost(schedule, tau, t):
+        calls.append((tau, t))
+        boost(schedule, tau, t)
+
+    monkeypatch.setattr(StepSchedule, "boost", counting_boost)
+    return calls
+
+
+# On ring() with sigma=0.5 this seed switches from phase 1 to phase 2 at
+# several iterations after t=0, with or without step boosts.
+SWITCHING_SEED = 2
+
+
+def phase_switches(rec):
+    """Iterations whose phase is 2 after a phase-1 iteration; the run starts in phase 1."""
+    phase = rec.trace_phase[1:]  # row t + 1 holds the phase of iteration t
+    before = np.concatenate([[1], phase[:-1]])
+    return np.flatnonzero((phase == 2) & (before == 1)).tolist()
+
+
+class TestPhaseBoost:
+    def test_boost_applied_once_per_transition(self, boosts):
+        params = EngineParams(n_fish=10, iterations=60, sigma=0.5, tau=0.3)
+        rec = run(ring(), Variant("base"), params, seed=SWITCHING_SEED)
+        switches = phase_switches(rec)
+        # the run switches more than once, so it also flips back to phase 1
+        assert len(switches) >= 2 and switches[0] > 0
+        assert boosts == [(0.3, t) for t in switches]
+
+    def test_tau_zero_is_identity(self, boosts, monkeypatch):
+        steps = {}
+        at = StepSchedule.at
+
+        def recording_at(schedule, t):
+            steps[t] = at(schedule, t)
+            return steps[t]
+
+        monkeypatch.setattr(StepSchedule, "at", recording_at)
+        params = EngineParams(n_fish=10, iterations=60, sigma=0.5, tau=0.0)
+        rec = run(ring(), Variant("base"), params, seed=SWITCHING_SEED)
+        switches = phase_switches(rec)
+        assert switches and boosts == [(0.0, t) for t in switches]
+        plain = params.step_schedule()
+        # a boost re-anchors the decay, which rounds differently in the last digits
+        assert steps == {t: pytest.approx(at(plain, t), rel=1e-12) for t in range(60)}
 
 
 class TestRun:
@@ -306,21 +328,13 @@ class TestRun:
         run(problem, Variant("base"), EngineParams(n_fish=8, iterations=60), seed=3,
             observer=check)
 
-    def test_feasible_start_boosts_once_at_t0(self, monkeypatch):
-        # The controller starts in phase 1, so a school that is feasible at
-        # t=0 gets one (1 + tau) boost there although no switch happened.
-        calls = []
-        boost = StepSchedule.boost
-
-        def counting_boost(schedule, tau, t):
-            calls.append((tau, t))
-            boost(schedule, tau, t)
-
-        monkeypatch.setattr(StepSchedule, "boost", counting_boost)
+    def test_feasible_start_boosts_once_at_t0(self, boosts):
+        # The run starts in phase 1, so a school that is feasible at t=0 gets
+        # one (1 + tau) boost there although no switch happened.
         rec = run(sphere(), Variant("base"), EngineParams(n_fish=8, iterations=50, tau=0.3),
                   seed=4)
         assert np.all(rec.trace_phase[1:] == 2)
-        assert calls == [(0.3, 0)]
+        assert boosts == [(0.3, 0)]
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):

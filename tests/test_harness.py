@@ -273,6 +273,16 @@ class TestReports:
         assert data["data_source"] == "unavailable"
         assert data["reference_fitness"] == {}
 
+    def test_data_source_resolves_without_reading_data(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("WRFSS_CEC2010_DATA", raising=False)
+        empty = tmp_path / "empty"
+        config = tiny_config(tmp_path, data_dir=str(empty))
+        assert config.resolved_data_source() == f"files:{empty}"
+        assert tiny_config(tmp_path).resolved_data_source() == "surrogate"
+        assert tiny_config(tmp_path, data_source="zero").resolved_data_source() == "zero"
+        with pytest.raises(BenchDataError, match="no benchmark data directory"):
+            tiny_config(tmp_path, data_source="files").resolved_data_source()
+
     def test_unusable_output_path_rejected_upfront(self, tmp_path):
         # a plain file where the directory should go fails before any run
         blocked = tmp_path / "blocked"
@@ -436,6 +446,10 @@ def test_config_validation():
         ExperimentConfig(problem_id="C01", variant="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(problem_id="C01", variant="wrfss", run_count=0)
+    # numpy seeds must be non-negative; the config says so before any run
+    with pytest.raises(ValueError, match="base_seed"):
+        ExperimentConfig(problem_id="C01", variant="wrfss", base_seed=-1)
+    ExperimentConfig(problem_id="C01", variant="wrfss", base_seed=0)
     # engine and probe parameters are checked when the config is built
     with pytest.raises(ValueError, match="sar_alpha0"):
         ExperimentConfig(problem_id="C01", variant="wrfss", sar_alpha0=1.5)

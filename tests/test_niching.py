@@ -44,18 +44,17 @@ class TestLinkFormator:
         links = LinkGraph.empty(2)
         # fish 0 samples 1 (lighter: nothing), fish 1 samples 0 (heavier: link)
         out = link_formator(weights, links, ScriptedPartners([1, 0]))
-        assert out.leader_of(0) is None
-        assert out.leader_of(1) == 0
+        assert out.leader.tolist() == [-1, 0]
 
     def test_follower_grown_heavier_breaks_link(self):
         links = LinkGraph(leader=np.array([-1, 0]))
         weights = np.array([1.0, 5.0])  # follower 1 now heavier than leader 0
         out = link_formator(weights, links, ScriptedPartners([1, 0]))
-        assert out.leader_of(1) is None
+        assert out.leader[1] == -1
 
     def test_single_fish_graph_stays_empty(self):
         out = link_formator(np.array([3.0]), LinkGraph.empty(1), np.random.default_rng(0))
-        assert out.links() == []
+        assert out.leader.tolist() == [-1]
 
     def test_equal_weights_never_link(self):
         rng = np.random.default_rng(5)
@@ -63,7 +62,7 @@ class TestLinkFormator:
         weights = np.full(8, 4.0)
         for _ in range(100):
             links = link_formator(weights, links, rng)
-            assert links.links() == []
+            assert np.all(links.leader == -1)
 
     def test_leader_switch_on_follower_weight_sum(self):
         # a=0 follows c=2 and carries follower 3 (weight 9); it samples b=1.
@@ -72,23 +71,23 @@ class TestLinkFormator:
         weights = np.array([5.0, 6.0, 7.0, 9.0])
         links = LinkGraph(leader=np.array([2, -1, -1, 0]))
         out = link_formator(weights, links, ScriptedPartners([1, 3, 1, 2]))
-        assert out.leader_of(0) == 1
+        assert out.leader[0] == 1
         # 3 -> 0 is broken by the break pass (w[3] = 9 > w[0] = 5)
-        assert out.leader_of(3) is None
+        assert out.leader[3] == -1
 
     def test_no_switch_when_follower_sum_small(self):
         # a=0 follows c=2; a's followers weigh 3 < w[b=1] = 4 -> keep c
         weights = np.array([5.0, 4.0, 6.0, 3.0])
         links = LinkGraph(leader=np.array([2, -1, -1, 0]))
         out = link_formator(weights, links, ScriptedPartners([1, 3, 1, 2]))
-        assert out.leader_of(0) == 2
+        assert out.leader[0] == 2
 
     def test_cycle_refused(self):
         # 1 follows 0; fish 0 samples 1 which is heavier -> would close a cycle
         weights = np.array([1.0, 2.0])
         links = LinkGraph(leader=np.array([-1, 0]))
         out = link_formator(weights, links, ScriptedPartners([1, 0]))
-        assert out.leader_of(0) is None
+        assert out.leader[0] == -1
         # the break pass removes 1 -> 0 anyway since w[1] > w[0]
         assert out.is_forest()
 
@@ -101,14 +100,18 @@ class TestLinkFormator:
             links = link_formator(weights, links, rng)
             assert links.is_forest()
             # no fish follows a strictly lighter fish after the break pass
-            for a, l in links.links():
-                assert weights[a] <= weights[l]
+            followers = np.flatnonzero(links.leader >= 0)
+            assert np.all(weights[followers] <= weights[links.leader[followers]])
 
     def test_follower_weight_sum(self):
-        links = LinkGraph(leader=np.array([2, 2, -1]))
-        weights = np.array([1.5, 2.5, 9.0])
-        assert links.follower_weight_sum(2, weights) == 4.0
-        assert links.follower_weight_sum(0, weights) == 0.0
+        # a=0 (weight 5) follows c=2 and carries followers 1 and 3, which weigh
+        # 3 each; it samples b=4. a switches only when the summed weight of
+        # all its followers, 6, strictly exceeds w[b].
+        links = LinkGraph(leader=np.array([2, 0, -1, 0, -1]))
+        for w_b, new_leader in ((6.0, 2), (5.5, 4)):
+            weights = np.array([5.0, 3.0, 9.0, 3.0, w_b])
+            out = link_formator(weights, links, ScriptedPartners([4, 2, 1, 2, 1]))
+            assert out.leader.tolist() == [new_leader, 0, -1, 0, -1]
 
 
 class TestInstinctiveWithLeader:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrfss.engine import VARIANT_KINDS, EngineParams, Variant, run
-from wrfss.problem import Problem
+from wrfss.problem import Problem, evaluate_many
 
 unit = st.floats(0.0, 1.0)
 
@@ -100,3 +100,39 @@ def test_run_invariants(kind, data):
     )
     if kind != "gradient":
         assert rec.probe_count == 0
+
+
+def beats(f, v, best_f, best_v):
+    """Feasibility rules: fitness decides between feasible pairs, violation otherwise."""
+    if v == 0.0 and best_v == 0.0:
+        return f < best_f
+    return v < best_v
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_trace_rows_follow_feasibility_rules(kind, data):
+    problem = data.draw(problems())
+    params = data.draw(engine_params())
+    variant = data.draw(variants(kind))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    # per iteration: the school's scores after acceptance, and its positions
+    # after the collective moves, which the next iteration starts by re-scoring
+    accepted, moved = [], []
+
+    def observe(t, school, links):
+        accepted.append((school.fitness.copy(), school.violation.copy()))
+        moved.append(school.positions.copy())
+
+    rec = run(problem, variant, params, seed=seed, observer=observe)
+    rows = list(zip(rec.trace_best_fitness, rec.trace_best_violation))
+    # iteration 0 re-scores the initial school, whose best already is row 0
+    starts = [((), ())] + [evaluate_many(problem, x) for x in moved[:-1]]
+    for t in range(params.iterations):
+        best = rows[t]
+        for fitness, violation in (starts[t], accepted[t]):
+            for f, v in zip(fitness, violation):
+                if beats(f, v, *best):
+                    best = (f, v)
+        assert rows[t + 1] == best, t

@@ -88,7 +88,7 @@ class TestIndividualMovement:
 
     def step(self, school, problem, candidates, sar_alpha, rng):
         cand_f, cand_v = evaluate_many(problem, candidates)
-        accepted = (cand_f < school.fitness) | (rng.random(school.size) < sar_alpha)
+        accepted = (cand_f < school.fitness) | (rng.random(len(school.positions)) < sar_alpha)
         before = school.positions.copy(), school.fitness.copy()
         school.accept(accepted, candidates, cand_f, cand_v, school.fitness - cand_f)
         return accepted, before
@@ -294,7 +294,7 @@ def test_school_initial_state():
     school = School.initial(pts, f, v, w_scale=5000.0)
     assert np.all(school.weights == 2500.0)
     assert school.prev_total_weight == 10000.0
-    assert school.size == 4
+    assert len(school.positions) == 4
     assert np.array_equal(school.positions[2], pts[2])
     assert np.all(school.delta_f == 0.0) and np.all(school.delta_x == 0.0)
     assert school.fitness[2] == f[2]
