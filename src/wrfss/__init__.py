@@ -16,7 +16,7 @@ from .constraint_handling import (
 from .engine import EngineParams, RunRecord, Variant, decide_phase, run
 from .gradient import forward_gradient, pick_direction
 from .niching import LinkGraph, leader_instinctive_step, leader_volitive_step, link_formator
-from .problem import EvaluationError, Problem, evaluate_many
+from .problem import EvaluationError, Problem, evaluate_many, violation_many
 from .school import School, StepSchedule
 
 __version__ = "0.1.0"
@@ -26,6 +26,7 @@ __all__ = [
     "Problem",
     "EvaluationError",
     "evaluate_many",
+    "violation_many",
     "School",
     "StepSchedule",
     "LinkGraph",

@@ -44,7 +44,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         choices=["files", "surrogate", "zero"],
         help="where shift/rotation data comes from (default: files if a directory is known, else surrogate)",
     )
-    sub.add_argument("--out", help="output directory")
+    sub.add_argument("--out", help="output directory (default: config file, else out)")
     for name in _OVERRIDE_FIELDS:
         sub.add_argument("--" + name.replace("_", "-"), type=harness.FIELD_TYPES[name])
 
@@ -60,15 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="run one experiment with a single seed")
     p_run.set_defaults(parser=p_run)
     _add_common(p_run)
-    p_run.add_argument("--seed", type=int, default=1000)
+    p_run.add_argument("--seed", type=int, help="run seed (default: config file, else 1000)")
 
     p_batch = subs.add_parser("batch", help="run a problem x variant grid")
     p_batch.set_defaults(parser=p_batch)
     _add_common(p_batch)
     p_batch.add_argument("--problems", help="comma-separated problem ids (overrides --problem)")
     p_batch.add_argument("--variants", help="comma-separated variants (overrides --variant)")
-    p_batch.add_argument("--runs", type=int, default=30)
-    p_batch.add_argument("--base-seed", type=int, default=1000)
+    p_batch.add_argument("--runs", type=int, help="runs per pair (default: config file, else 30)")
+    p_batch.add_argument(
+        "--base-seed", type=int, help="seed of the first run (default: config file, else 1000)"
+    )
     p_batch.add_argument("--jobs", type=int, default=1, help="worker processes per batch")
     p_batch.add_argument("--from-manifest", help="re-run the batch described by a manifest file")
 
@@ -83,8 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, problem: str, variant: str, run_count: int,
-                  base_seed: int, output_dir: str) -> harness.ExperimentConfig:
+def _merge_config(args: argparse.Namespace, problem: str | None, variant: str | None,
+                  given: dict, subdir: str = "") -> harness.ExperimentConfig:
+    """The experiment of one run or batch pair.
+
+    Each field comes from its flag, else the config file, else the preset,
+    else the ExperimentConfig default. ``given`` maps fields to the values of
+    the subcommand's own flags, None when not given. ``subdir``, when set, is
+    appended to the output directory.
+    """
     kwargs: dict = {}
     if args.preset == "paper":
         if not problem or not variant:
@@ -98,11 +107,9 @@ def _merge_config(args: argparse.Namespace, problem: str, variant: str, run_coun
             args.parser.error(str(exc))
     kwargs["problem_id"] = kwargs.get("problem_id", problem) if problem is None else problem
     kwargs["variant"] = kwargs.get("variant", variant) if variant is None else variant
-    kwargs.update(
-        run_count=run_count,
-        base_seed=base_seed,
-        output_dir=output_dir,
-    )
+    kwargs.update({name: value for name, value in given.items() if value is not None})
+    if subdir:
+        kwargs["output_dir"] = str(Path(kwargs.get("output_dir", "out")) / subdir)
     if args.data_dir:
         kwargs["data_dir"] = args.data_dir
     if args.data_source:
@@ -132,12 +139,8 @@ def _execute_batch(config: harness.ExperimentConfig, jobs: int) -> None:
 
 def _cmd_run(args) -> int:
     config = _merge_config(
-        args,
-        problem=args.problem,
-        variant=args.variant,
-        run_count=1,
-        base_seed=args.seed,
-        output_dir=args.out or "out",
+        args, args.problem, args.variant,
+        dict(run_count=1, base_seed=args.seed, output_dir=args.out),
     )
     _execute_batch(config, jobs=1)
     return 0
@@ -158,18 +161,11 @@ def _cmd_batch(args) -> int:
     variants = [v.strip() for v in variants if v.strip()]
     if not problems or not variants:
         args.parser.error("batch requires problems and variants (flags, or --from-manifest)")
-    base_out = Path(args.out or "out")
+    given = dict(run_count=args.runs, base_seed=args.base_seed, output_dir=args.out)
     for pid in problems:
         for variant in variants:
-            out_dir = base_out / f"{pid}_{variant}" if len(problems) * len(variants) > 1 else base_out
-            config = _merge_config(
-                args,
-                problem=pid,
-                variant=variant,
-                run_count=args.runs,
-                base_seed=args.base_seed,
-                output_dir=str(out_dir),
-            )
+            subdir = f"{pid}_{variant}" if len(problems) * len(variants) > 1 else ""
+            config = _merge_config(args, pid, variant, given, subdir)
             _execute_batch(config, jobs=args.jobs)
     return 0
 

@@ -55,12 +55,12 @@ class LinkGraph:
         return True
 
 
-def _chain_reaches(leader: np.ndarray, start: int, target: int) -> bool:
+def _chain_reaches(leader: list[int], start: int, target: int) -> bool:
     node = start
     while node >= 0:
         if node == target:
             return True
-        node = int(leader[node])
+        node = leader[node]
     return False
 
 
@@ -76,36 +76,36 @@ def link_formator(
     became strictly heavier than its leader is broken.
     """
     n = links.size
-    leader = links.leader.copy()
     if n < 2:
-        return LinkGraph(leader=leader)
-    weights = np.asarray(weights, dtype=float)
+        return LinkGraph(leader=links.leader.copy())
+    # The pass is scalar work per fish, so it runs on Python lists; the floats
+    # and their summation order are those of the arrays.
+    w = np.asarray(weights, dtype=float).tolist()
+    leader = links.leader.tolist()
     raw = rng.integers(0, n - 1, size=n)
-    partner = raw + (raw >= np.arange(n))
+    partner = (raw + (raw >= np.arange(n))).tolist()
 
-    follower_sum = np.zeros(n)
+    follower_sum = [0.0] * n
     for a, l in enumerate(leader):
         if l >= 0:
-            follower_sum[l] += weights[a]
+            follower_sum[l] += w[a]
 
-    for a in range(n):
-        b = int(partner[a])
-        current = int(leader[a])
+    for a, b in enumerate(partner):
+        current = leader[a]
         if current < 0:
-            if weights[b] > weights[a] and not _chain_reaches(leader, b, a):
+            if w[b] > w[a] and not _chain_reaches(leader, b, a):
                 leader[a] = b
-                follower_sum[b] += weights[a]
+                follower_sum[b] += w[a]
         elif b != current:
-            if follower_sum[a] > weights[b] and not _chain_reaches(leader, b, a):
+            if follower_sum[a] > w[b] and not _chain_reaches(leader, b, a):
                 leader[a] = b
-                follower_sum[current] -= weights[a]
-                follower_sum[b] += weights[a]
+                follower_sum[current] -= w[a]
+                follower_sum[b] += w[a]
 
-    for a in range(n):
-        l = int(leader[a])
-        if l >= 0 and weights[a] > weights[l]:
+    for a, l in enumerate(leader):
+        if l >= 0 and w[a] > w[l]:
             leader[a] = -1
-    return LinkGraph(leader=leader)
+    return LinkGraph(leader=np.array(leader, dtype=np.int64))
 
 
 def leader_instinctive_step(

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Problem", "EvaluationError", "evaluate_many"]
+__all__ = ["Problem", "EvaluationError", "evaluate_many", "violation_many"]
 
 # Maps an (n, D) batch of points to n values.
 BatchFn = Callable[[np.ndarray], np.ndarray]
@@ -46,10 +46,10 @@ class Problem:
     """Minimization problem over a box with optional constraints.
 
     The objective and every constraint map an (n, dimension) array to an
-    (n,) array; ``evaluate_many`` rejects any other shape. Inequalities are
-    feasible when g(x) <= 0, equalities when |h(x)| <= delta, and
-    ``violation_exponent`` is the power p applied to each breach in the
-    violation measure (see the module docstring). A per-point function f
+    (n,) array; ``evaluate_many`` and ``violation_many`` reject any other
+    shape. Inequalities are feasible when g(x) <= 0, equalities when |h(x)|
+    <= delta, and ``violation_exponent`` is the power p applied to each breach
+    in the violation measure (see the module docstring). A per-point function f
     becomes a batch one as ``lambda X: np.array([f(x) for x in X])``.
     """
 
@@ -125,25 +125,44 @@ def _values(fn: BatchFn, points: np.ndarray, kind: str, index: int | None, name:
     return values
 
 
-def evaluate_many(problem: Problem, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a batch of points, returning (fitness, violation) arrays.
-
-    The violation of row i is sum_j max(0, g_j)**p + sum_j max(0, |h_j| -
-    delta)**p, zero exactly when the row is feasible. Raises ValueError when
-    ``points`` is not (n, dimension) or a problem function does not return
-    shape (n,); when n == dimension, each function is also called on the
-    first point alone and must return shape (1,). Raises EvaluationError,
-    naming the function, when one returns a non-finite value.
-    """
+def _checked_points(problem: Problem, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != problem.dimension:
         raise ValueError(f"points must have shape (n, {problem.dimension})")
+    return points
+
+
+def violation_many(problem: Problem, points: np.ndarray) -> np.ndarray:
+    """The violation of each row of a batch, without calling the objective.
+
+    Row i gets sum_j max(0, g_j)**p + sum_j max(0, |h_j| - delta)**p, zero
+    exactly when the row is feasible; it is the violation column of
+    ``evaluate_many``. Raises ValueError when ``points`` is not (n,
+    dimension) or a constraint does not return shape (n,), and
+    EvaluationError, naming the constraint, when one returns a non-finite
+    value.
+    """
+    points = _checked_points(problem, points)
     p, name = problem.violation_exponent, problem.name
-    f = _values(problem.objective, points, "objective", None, name)
     violation = np.zeros(points.shape[0])
     for j, g in enumerate(problem.inequalities):
         violation += _violation_terms(_values(g, points, "inequality", j, name), p)
     for j, h in enumerate(problem.equalities):
         hv = _values(h, points, "equality", j, name)
         violation += _violation_terms(np.abs(hv) - problem.delta, p)
-    return f, violation
+    return violation
+
+
+def evaluate_many(problem: Problem, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a batch of points, returning (fitness, violation) arrays.
+
+    The violation is ``violation_many(problem, points)``. Raises ValueError
+    when ``points`` is not (n, dimension) or a problem function does not
+    return shape (n,); when n == dimension, each function is also called on
+    the first point alone and must return shape (1,). Raises EvaluationError,
+    naming the function, when one returns a non-finite value; the objective
+    is checked first.
+    """
+    points = _checked_points(problem, points)
+    f = _values(problem.objective, points, "objective", None, problem.name)
+    return f, violation_many(problem, points)

@@ -13,7 +13,7 @@ from wrfss.cec2010 import (
     load_problem,
     write_data_dir,
 )
-from wrfss.problem import Problem, evaluate_many
+from wrfss.problem import Problem, evaluate_many, violation_many
 
 
 def at(problem, x):
@@ -175,18 +175,51 @@ class TestFeasibleRatio:
 
         def counting(problem, points):
             rows.append(points.shape[0])
-            return evaluate_many(problem, points)
+            return violation_many(problem, points)
 
-        monkeypatch.setattr(cec2010, "evaluate_many", counting)
+        monkeypatch.setattr(cec2010, "violation_many", counting)
         p = Problem(dimension=1, lower=np.zeros(1), upper=np.ones(1),
                     objective=lambda x: np.zeros(x.shape[0]))
-        assert feasible_ratio(p, samples=2 * 65536 + 5, seed=1) == 1.0
-        assert rows == [65536, 65536, 5]
+        block = cec2010._SAMPLE_BATCH
+        assert feasible_ratio(p, samples=2 * block + 5, seed=1) == 1.0
+        assert rows == [block, block, 5]
+
+    def test_objective_is_never_scored(self):
+        # A decision, pinned: sampling scores only the constraints, so an
+        # objective that is non-finite everywhere still gives a ratio.
+        p = Problem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                    objective=lambda x: np.full(x.shape[0], np.nan),
+                    inequalities=(lambda x: x[:, 0] - 0.5,))
+        assert feasible_ratio(p, samples=4000, seed=2) == pytest.approx(0.5, abs=0.03)
 
     def test_sample_validation(self):
         bench = load_problem("C01")
         with pytest.raises(ValueError):
             feasible_ratio(bench.problem, samples=0)
+
+
+class TestViolationMany:
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    @pytest.mark.parametrize("n", [1, 11, 30, cec2010._SAMPLE_BATCH + 5])
+    def test_equals_evaluate_many_bit_for_bit(self, pid, n):
+        problem = load_problem(pid).problem
+        rng = np.random.default_rng([n, PROBLEM_IDS.index(pid)])
+        pts = problem.lower + rng.random((n, DIMENSION)) * problem.range_width
+        assert np.array_equal(violation_many(problem, pts), evaluate_many(problem, pts)[1])
+
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_row_value_does_not_depend_on_its_block(self, pid):
+        # The constraints are elementwise and row-wise, plus the rotation
+        # product of C06 and C08, so every split gives the same bits. A
+        # one-row block is left out: numpy multiplies a single row by the
+        # matrix through another BLAS kernel, which may round differently.
+        problem = load_problem(pid).problem
+        rng = np.random.default_rng(PROBLEM_IDS.index(pid))
+        pts = problem.lower + rng.random((3000, DIMENSION)) * problem.range_width
+        whole = violation_many(problem, pts)
+        for block in (2, 7, 1024, 2048):
+            parts = [violation_many(problem, pts[i:i + block]) for i in range(0, 3000, block)]
+            assert np.array_equal(np.concatenate(parts), whole), block
 
 
 class TestDataFiles:

@@ -190,6 +190,62 @@ class TestRunCommand:
         assert manifest["config"]["iterations"] == 20
 
 
+class TestConfigFilePrecedence:
+    """A value comes from its flag, else the config file, else the default."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp(self, tmp_path, monkeypatch):
+        # A value that ignored the file would write to ./out.
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.fixture
+    def ini(self, tmp_path):
+        ini = tmp_path / "b.ini"
+        ini.write_text("[batch]\nbase_seed = 7\nrun_count = 2\n\n"
+                       f"[output]\ndirectory = {tmp_path / 'fromini'}\n")
+        return str(ini)
+
+    @staticmethod
+    def manifest(out):
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_batch_takes_seeds_runs_and_directory_from_ini(self, tmp_path, ini):
+        assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--iterations", "3",
+                        "--n-fish", "4", "--config", ini]) == 0
+        manifest = self.manifest(tmp_path / "fromini")
+        assert manifest["seeds"] == [7, 8]
+        assert (manifest["config"]["run_count"], manifest["config"]["base_seed"]) == (2, 7)
+        assert not (tmp_path / "out").exists()
+
+    def test_batch_grid_puts_pairs_under_ini_directory(self, tmp_path, ini):
+        assert run_cli(["batch", "--problems", "C01,C07", "--variants", "wrfss",
+                        "--iterations", "3", "--n-fish", "4", "--config", ini]) == 0
+        for pair in ("C01_wrfss", "C07_wrfss"):
+            assert self.manifest(tmp_path / "fromini" / pair)["seeds"] == [7, 8]
+
+    def test_flags_override_ini(self, tmp_path, ini):
+        out = tmp_path / "flagged"
+        assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--iterations", "3",
+                        "--n-fish", "4", "--config", ini, "--runs", "3", "--base-seed", "20",
+                        "--out", str(out)]) == 0
+        assert self.manifest(out)["seeds"] == [20, 21, 22]
+        assert not (tmp_path / "fromini").exists()
+
+    def test_run_takes_seed_and_directory_from_ini(self, tmp_path, ini):
+        assert run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
+                        "--n-fish", "4", "--config", ini]) == 0
+        # run is one seed, whatever the file's run_count
+        assert self.manifest(tmp_path / "fromini")["seeds"] == [7]
+
+    def test_defaults_without_flags_or_ini(self, tmp_path):
+        assert run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
+                        "--n-fish", "4"]) == 0
+        assert self.manifest(tmp_path / "out")["seeds"] == [1000]
+        assert run_cli(["batch", "--problems", "C01,C07", "--variants", "wrfss",
+                        "--iterations", "3", "--n-fish", "4", "--runs", "2"]) == 0
+        assert self.manifest(tmp_path / "out" / "C07_wrfss")["seeds"] == [1000, 1001]
+
+
 class TestBatchCommand:
     def test_grid_writes_one_directory_per_pair(self, tmp_path):
         out = tmp_path / "grid"
@@ -295,6 +351,19 @@ class TestParameterSurface:
         assert exc.value.code == 2
 
 
+TABLE1_SEED7 = """\
+problem    estimated   published    abs diff  data source
+C01         0.994850    0.997689    0.002839  surrogate
+C03         0.000000    0.000000    0.000000  surrogate
+C04         0.000000    0.000000    0.000000  surrogate
+C06         0.000000    0.000000    0.000000  surrogate
+C07         0.487400    0.505123    0.017723  surrogate
+C08         0.376850    0.379512    0.002662  surrogate
+C09         0.000000    0.000000    0.000000  surrogate
+note: fallback data in use; published ratios assume the official data files
+"""
+
+
 class TestInformational:
     def test_presets_lists_full_grid(self, capsys):
         assert run_cli(["presets"]) == 0
@@ -302,6 +371,13 @@ class TestInformational:
         lines = [l for l in out.splitlines() if l and not l.startswith("problem")]
         assert len(lines) == 28
         assert any("C03" in l and "wrfsse" in l for l in lines)
+
+    def test_table1_output_is_pinned(self, capsys):
+        # Literal output of the sampler that scored the objective too, in
+        # 65536-row blocks: neither change may move a ratio.
+        assert run_cli(["table1", "--samples", "20000", "--seed", "7",
+                        "--data-source", "surrogate"]) == 0
+        assert capsys.readouterr().out == TABLE1_SEED7
 
     def test_table1_reports_ratios(self, capsys):
         assert run_cli(["table1", "--samples", "2000", "--seed", "5"]) == 0

@@ -114,6 +114,82 @@ class TestLinkFormator:
             assert out.leader.tolist() == [new_leader, 0, -1, 0, -1]
 
 
+def reference_link_formator(weights, links, rng):
+    """The link pass written on numpy arrays and scalars, kept as an oracle
+    for the list-based ``link_formator``."""
+
+    def chain_reaches(leader, start, target):
+        node = start
+        while node >= 0:
+            if node == target:
+                return True
+            node = int(leader[node])
+        return False
+
+    n = links.size
+    leader = links.leader.copy()
+    if n < 2:
+        return LinkGraph(leader=leader)
+    weights = np.asarray(weights, dtype=float)
+    raw = rng.integers(0, n - 1, size=n)
+    partner = raw + (raw >= np.arange(n))
+
+    follower_sum = np.zeros(n)
+    for a, l in enumerate(leader):
+        if l >= 0:
+            follower_sum[l] += weights[a]
+
+    for a in range(n):
+        b = int(partner[a])
+        current = int(leader[a])
+        if current < 0:
+            if weights[b] > weights[a] and not chain_reaches(leader, b, a):
+                leader[a] = b
+                follower_sum[b] += weights[a]
+        elif b != current:
+            if follower_sum[a] > weights[b] and not chain_reaches(leader, b, a):
+                leader[a] = b
+                follower_sum[current] -= weights[a]
+                follower_sum[b] += weights[a]
+
+    for a in range(n):
+        l = int(leader[a])
+        if l >= 0 and weights[a] > weights[l]:
+            leader[a] = -1
+    return LinkGraph(leader=leader)
+
+
+def random_forest(rng, n):
+    """A random link forest: each fish follows nobody or a fish earlier in a
+    random order, so no chain can close a cycle."""
+    order = rng.permutation(n)
+    leader = np.full(n, -1, dtype=np.int64)
+    for k in range(1, n):
+        if rng.random() < 0.6:
+            leader[order[k]] = order[rng.integers(0, k)]
+    return LinkGraph(leader=leader)
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_link_formator_matches_reference(case):
+    setup = np.random.default_rng([7, case])
+    n = int(setup.integers(1, 41))
+    links = random_forest(setup, n)
+    assert links.is_forest()
+    # Integer weights give ties, which exercise the strict comparisons.
+    ties = case % 3 == 0
+    seed = int(setup.integers(0, 2**32))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        weights = setup.integers(1, 6, n).astype(float) if ties else setup.uniform(1, 5000, n)
+        got = link_formator(weights, links, rng_new)
+        want = reference_link_formator(weights, links, rng_ref)
+        assert got.leader.dtype == np.int64
+        assert np.array_equal(got.leader, want.leader)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        links = got
+
+
 class TestInstinctiveWithLeader:
     def test_no_leader_reduces_to_own_delta(self):
         out = instinctive([[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0], [-1.0, 0.5]], [2.0, 0.5],

@@ -3,7 +3,7 @@ import pytest
 
 import wrfss
 from wrfss import problem as problem_module
-from wrfss.problem import EvaluationError, Problem, evaluate_many
+from wrfss.problem import EvaluationError, Problem, evaluate_many, violation_many
 
 
 def box(d, lo, hi, **kw):
@@ -191,6 +191,50 @@ class TestShapeContract:
         calls.clear()
         evaluate_many(p, pts[:2])
         assert calls == [(2, 3)]
+
+
+class TestViolationMany:
+    """The violation column of evaluate_many, with the objective never called."""
+
+    @staticmethod
+    def never(x):
+        raise AssertionError("the objective was called")
+
+    def test_equals_evaluate_many_column(self, simple):
+        pts = np.random.default_rng(6).uniform(-10, 10, (25, 2))
+        assert np.array_equal(violation_many(simple, pts), evaluate_many(simple, pts)[1])
+
+    def test_objective_is_not_called(self):
+        p = box(1, -1, 1, objective=self.never, inequalities=(lambda x: x[:, 0],))
+        assert violation_many(p, np.array([[-0.5], [0.25]])).tolist() == [0.0, 0.25]
+
+    def test_unconstrained_rows_are_feasible(self):
+        p = box(2, -1, 1, objective=self.never)
+        assert violation_many(p, np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros(2), np.zeros((1, 2, 2))])
+    def test_points_shape_rejected(self, points):
+        p = box(2, -1, 1, objective=self.never, inequalities=(zeros,))
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+            violation_many(p, points)
+
+    def test_constraint_shape_rejected(self):
+        p = box(2, -1, 1, objective=self.never, equalities=(zeros, lambda x: x[:, :1]))
+        with pytest.raises(ValueError, match=r"equality\[1\].*returned shape \(4, 1\)"):
+            violation_many(p, np.zeros((4, 2)))
+
+    def test_per_point_constraint_rejected_on_square_batch(self):
+        p = box(3, -1, 1, objective=self.never, inequalities=(lambda x: x[0],))
+        with pytest.raises(ValueError, match=r"inequality\[0\].*points of shape \(1, 3\)"):
+            violation_many(p, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("kind", ["inequality", "equality"])
+    def test_non_finite_constraint_is_an_evaluation_error(self, kind):
+        bad = (zeros, lambda x: np.full(x.shape[0], np.nan))
+        p = box(1, -1, 1, objective=self.never, **{kind[:-1] + "ies": bad})
+        with pytest.raises(EvaluationError) as err:
+            violation_many(p, np.zeros((2, 1)))
+        assert (err.value.kind, err.value.index) == (kind, 1)
 
 
 def test_removed_per_point_names_are_gone():
