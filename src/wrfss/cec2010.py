@@ -212,6 +212,15 @@ def _surrogate_data(pid: str) -> tuple[np.ndarray, np.ndarray | None]:
     return shift, rotation
 
 
+def _fallback_data(pid: str, source: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Shift/rotation of a fallback source: "surrogate", or "zero" (identity rotation)."""
+    if source == "surrogate":
+        return _surrogate_data(pid)
+    if source == "zero":
+        return np.zeros(DIMENSION), np.eye(DIMENSION) if pid in _ROTATED else None
+    raise ValueError(f"source must be surrogate or zero, got {source!r}")
+
+
 def _read_data_file(pid: str, data_dir: Path) -> tuple[np.ndarray, np.ndarray | None]:
     path = data_dir / f"{pid}.txt"
     if not path.is_file():
@@ -284,11 +293,8 @@ def load_problem(
     source_label, directory = resolve_source(data_dir, source)
     if directory is not None:
         shift, rotation = _read_data_file(pid, directory)
-    elif source_label == "surrogate":
-        shift, rotation = _surrogate_data(pid)
     else:
-        shift = np.zeros(DIMENSION)
-        rotation = np.eye(DIMENSION) if pid in _ROTATED else None
+        shift, rotation = _fallback_data(pid, source_label)
 
     problem = _build_problem(pid, shift, rotation, delta, violation_exponent)
     lo, hi, n_eq, n_ineq, ratio = _TABLE1[pid]
@@ -341,13 +347,7 @@ def write_data_dir(
     path.mkdir(parents=True, exist_ok=True)
     digests = {}
     for pid in problems:
-        if source == "surrogate":
-            shift, rotation = _surrogate_data(pid)
-        elif source == "zero":
-            shift = np.zeros(DIMENSION)
-            rotation = np.eye(DIMENSION) if pid in _ROTATED else None
-        else:
-            raise ValueError(f"source must be surrogate or zero, got {source!r}")
+        shift, rotation = _fallback_data(pid, source)
         lines = [" ".join(repr(float(v)) for v in shift)]
         if rotation is not None:
             lines.extend(" ".join(repr(float(v)) for v in row) for row in rotation)

@@ -6,13 +6,16 @@ Subcommands:
     table1   Monte Carlo estimate of the feasible-region ratios
     presets  list the published per-problem protocol parameters
 
+A config file (``--config``) is a JSON object keyed by ExperimentConfig field
+names, or a batch's manifest.json, so ``batch --config out/manifest.json``
+replays that batch.
+
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import sys
 from pathlib import Path
@@ -37,7 +40,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--desk", action="store_true", help="scale the preset budget down to 5000 iterations"
     )
-    sub.add_argument("--config", help="INI experiment file; flags override its values")
+    sub.add_argument(
+        "--config",
+        help="JSON experiment file (ExperimentConfig fields, or a manifest.json); "
+        "flags override its values",
+    )
     sub.add_argument("--data-dir", help="benchmark data directory (official files)")
     sub.add_argument(
         "--data-source",
@@ -72,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--base-seed", type=int, help="seed of the first run (default: config file, else 1000)"
     )
     p_batch.add_argument("--jobs", type=int, default=1, help="worker processes per batch")
-    p_batch.add_argument("--from-manifest", help="re-run the batch described by a manifest file")
 
     p_table = subs.add_parser("table1", help="estimate feasible-region ratios by sampling")
     p_table.set_defaults(parser=p_table)
@@ -85,41 +91,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, problem: str | None, variant: str | None,
-                  given: dict, subdir: str = "") -> harness.ExperimentConfig:
+def _merge_config(
+    args: argparse.Namespace, given: dict, grid: bool = False
+) -> harness.ExperimentConfig:
     """The experiment of one run or batch pair.
 
     Each field comes from its flag, else the config file, else the preset,
-    else the ExperimentConfig default. ``given`` maps fields to the values of
-    the subcommand's own flags, None when not given. ``subdir``, when set, is
-    appended to the output directory.
+    else the ExperimentConfig default. ``given`` maps the selection fields to
+    the values of the subcommand's own flags, None when not given. With
+    ``grid``, the pair's ``<problem>_<variant>`` subdirectory is appended to
+    the output directory.
     """
     kwargs: dict = {}
     if args.preset == "paper":
-        if not problem or not variant:
+        if not given["problem_id"] or not given["variant"]:
             args.parser.error("--preset paper requires --problem and --variant")
-        preset = harness.paper_preset(problem, variant, desk=args.desk)
+        preset = harness.paper_preset(given["problem_id"], given["variant"], desk=args.desk)
         kwargs.update(dataclasses.asdict(preset))
     if args.config:
         try:
-            kwargs.update(harness.read_config_file(args.config))
-        except (ValueError, configparser.Error) as exc:
+            kwargs.update(harness.read_config(args.config))
+        except ValueError as exc:
             args.parser.error(str(exc))
-    kwargs["problem_id"] = kwargs.get("problem_id", problem) if problem is None else problem
-    kwargs["variant"] = kwargs.get("variant", variant) if variant is None else variant
-    kwargs.update({name: value for name, value in given.items() if value is not None})
-    if subdir:
-        kwargs["output_dir"] = str(Path(kwargs.get("output_dir", "out")) / subdir)
-    if args.data_dir:
-        kwargs["data_dir"] = args.data_dir
-    if args.data_source:
-        kwargs["data_source"] = args.data_source
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
+    flags = dict(given, data_dir=args.data_dir, data_source=args.data_source)
+    flags.update((name, getattr(args, name)) for name in _OVERRIDE_FIELDS)
+    kwargs.update({name: value for name, value in flags.items() if value is not None})
     if not kwargs.get("problem_id") or not kwargs.get("variant"):
         args.parser.error("a problem and a variant are required (flags, preset, or config file)")
+    if grid:
+        pair = f"{kwargs['problem_id']}_{kwargs['variant']}"
+        kwargs["output_dir"] = str(Path(kwargs.get("output_dir", "out")) / pair)
     try:
         return harness.ExperimentConfig(**kwargs)
     except ValueError as exc:
@@ -138,10 +139,10 @@ def _execute_batch(config: harness.ExperimentConfig, jobs: int) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _merge_config(
-        args, args.problem, args.variant,
-        dict(run_count=1, base_seed=args.seed, output_dir=args.out),
-    )
+    config = _merge_config(args, dict(
+        problem_id=args.problem, variant=args.variant,
+        run_count=1, base_seed=args.seed, output_dir=args.out,
+    ))
     _execute_batch(config, jobs=1)
     return 0
 
@@ -149,23 +150,17 @@ def _cmd_run(args) -> int:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.from_manifest:
-        config = harness.config_from_manifest(args.from_manifest)
-        if args.out:
-            config = dataclasses.replace(config, output_dir=args.out)
-        _execute_batch(config, jobs=args.jobs)
-        return 0
-    problems = (args.problems or args.problem or "").split(",") if (args.problems or args.problem) else []
-    variants = (args.variants or args.variant or "").split(",") if (args.variants or args.variant) else []
-    problems = [p.strip() for p in problems if p.strip()]
-    variants = [v.strip() for v in variants if v.strip()]
-    if not problems or not variants:
-        args.parser.error("batch requires problems and variants (flags, or --from-manifest)")
-    given = dict(run_count=args.runs, base_seed=args.base_seed, output_dir=args.out)
+    # Without its flags, a problem or variant comes from the config file (None).
+    problems = [p.strip() for p in (args.problems or args.problem or "").split(",") if p.strip()]
+    variants = [v.strip() for v in (args.variants or args.variant or "").split(",") if v.strip()]
+    problems, variants = problems or [None], variants or [None]
+    grid = len(problems) * len(variants) > 1
     for pid in problems:
         for variant in variants:
-            subdir = f"{pid}_{variant}" if len(problems) * len(variants) > 1 else ""
-            config = _merge_config(args, pid, variant, given, subdir)
+            config = _merge_config(args, dict(
+                problem_id=pid, variant=variant,
+                run_count=args.runs, base_seed=args.base_seed, output_dir=args.out,
+            ), grid)
             _execute_batch(config, jobs=args.jobs)
     return 0
 

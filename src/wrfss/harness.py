@@ -9,11 +9,11 @@ from which the whole batch can be reproduced byte-for-byte.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import json
 import math
 import os
+import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,8 +36,7 @@ __all__ = [
     "run_single",
     "run_batch",
     "emit_reports",
-    "config_from_manifest",
-    "read_config_file",
+    "read_config",
 ]
 
 # CLI/report variant names mapped onto engine variant kinds.
@@ -67,9 +66,10 @@ _PRESET_SIGMA_TAU = {
 class ExperimentConfig:
     """Everything needed to reproduce a batch; all fields are primitives.
 
-    The field names are the manifest schema. Each engine field carries the
-    name of the ``EngineParams`` or ``Variant`` field it feeds, and the CLI
-    flags and INI keys are derived from the field names.
+    The field names are the manifest schema and the keys of a ``--config``
+    file. Each engine field carries the name of the ``EngineParams`` or
+    ``Variant`` field it feeds, and the CLI flags are derived from the field
+    names.
     """
 
     problem_id: str
@@ -140,12 +140,15 @@ def _from_fields(cls, config: ExperimentConfig, **given):
     return cls(**taken, **given)
 
 
-# The type a flag or INI value of each ExperimentConfig field is parsed as:
-# the field's annotation without None.
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# The type a flag or config-file value of each ExperimentConfig field is
+# parsed as: the field's annotation without None.
 FIELD_TYPES = {
     name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    for name, hint in _HINTS.items()
 }
+# The Optional fields, the only ones a config file may set to null.
+_NULLABLE = {name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
 
 
 def paper_preset(
@@ -391,51 +394,52 @@ def emit_reports(
     return paths
 
 
-def config_from_manifest(path: str | Path) -> ExperimentConfig:
-    """Rebuild the experiment configuration stored in a batch manifest."""
-    data = json.loads(Path(path).read_text())
-    return ExperimentConfig(**data["config"])
+# The entries of manifest.json. Only "config" is read back; the seeds and the
+# resolved data source follow from it.
+_MANIFEST_KEYS = {"config", "seeds", "resolved_data_source"}
 
 
-# The ExperimentConfig fields of each INI section. A key is its field's name,
-# except for the three in _INI_RENAMED.
-_INI_RENAMED = {"problem_id": "id", "variant": "name", "output_dir": "directory"}
-_INI_SECTIONS = {
-    section: {_INI_RENAMED.get(field, field): field for field in fields}
-    for section, fields in {
-        "problem": ["problem_id", "delta", "violation_exponent", "data_dir", "data_source"],
-        "engine": [f.name for f in dataclasses.fields(EngineParams)],
-        "variant": ["variant"] + [f.name for f in dataclasses.fields(Variant) if f.name != "kind"],
-        "batch": ["run_count", "base_seed"],
-        "output": ["output_dir"],
-    }.items()
-}
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
-def read_config_file(path: str | Path) -> dict:
-    """Parse an INI experiment file into ExperimentConfig keyword arguments.
+def read_config(path: str | Path) -> dict:
+    """ExperimentConfig keyword arguments from a JSON experiment file.
 
-    Sections: [problem], [engine], [variant], [batch], [output]. Every key is
-    optional; unknown sections and keys, and values that do not parse as the
-    field's type, raise ValueError. Empty values mean "use the default".
+    The file holds one object whose keys are ExperimentConfig field names, or
+    a batch manifest, whose ``config`` entry is that object. Every key is
+    optional. An unknown or repeated key, a value that is not of its field's
+    type (an int field takes only an integer, a float field any number) and
+    null outside the Optional fields raise ValueError naming the file and
+    the key. Float fields are stored as floats.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise OSError(f"cannot read config file: {path}")
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSON syntax or a repeated key
+        raise ValueError(f"bad config file {path}: {exc}") from None
+    if isinstance(data, dict) and "config" in data:
+        unknown = sorted(data.keys() - _MANIFEST_KEYS)
+        if unknown:
+            raise ValueError(f"unknown manifest key {unknown[0]!r} in {path}")
+        data = data["config"]
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object of ExperimentConfig fields")
     kwargs: dict = {}
-    for section in parser.sections():
-        if section not in _INI_SECTIONS:
-            raise ValueError(f"unknown config section [{section}] in {path}")
-        known = _INI_SECTIONS[section]
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
-            if raw.strip() == "":
-                continue
-            field = known[key]
-            try:
-                kwargs[field] = FIELD_TYPES[field](raw)
-            except ValueError as exc:
-                raise ValueError(f"bad value for key {key!r} in section [{section}] of {path}: {exc}")
+    for key, value in data.items():
+        kind = FIELD_TYPES.get(key)
+        if kind is None:
+            raise ValueError(f"unknown key {key!r} in {path}")
+        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)
+        if type(value) is not kind and not (value is None and key in _NULLABLE):
+            raise ValueError(
+                f"bad value for key {key!r} in {path}: expected {kind.__name__}, "
+                f"got {json.dumps(value)}"
+            )
+        kwargs[key] = value
     return kwargs

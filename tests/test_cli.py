@@ -65,51 +65,65 @@ class TestRunCommand:
             run_cli(["run", "--problem", "C01", "--variant", "nope"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags, ini", [
+    @pytest.mark.parametrize("flags, config", [
         (["--sar-alpha0", "1.5"], ""),
         (["--sar-decay", "-1.0"], ""),
-        ([], "[engine]\nsar_alpha0 = 1.5\nsar_decay = -1.0\n"),
+        ([], '{"sar_alpha0": 1.5, "sar_decay": -1.0}'),
         (["--step-ind-final", "0.5"], ""),
         (["--step-vol-final", "-0.1"], ""),
         (["--variant", "wrfsse", "--cp-min", "0"], ""),
-        ([], "[engine]\nstep_vol_initial = 0.0001\n"),
-        (["--variant", "wrfsse"], "[variant]\ncp_min = 0\n"),
-        (["--variant", "wrfssg"], "[variant]\nk_directions = 0\n"),
+        ([], '{"step_vol_initial": 0.0001}'),
+        (["--variant", "wrfsse"], '{"cp_min": 0}'),
+        (["--variant", "wrfssg"], '{"k_directions": 0}'),
     ])
-    def test_bad_engine_parameter_is_usage_error(self, tmp_path, capsys, flags, ini):
+    def test_bad_engine_parameter_is_usage_error(self, tmp_path, capsys, flags, config):
         args = ["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
                 "--out", str(tmp_path / "x")] + flags
-        if ini:
-            (tmp_path / "exp.ini").write_text(ini)
-            args += ["--config", str(tmp_path / "exp.ini")]
+        if config:
+            (tmp_path / "exp.json").write_text(config)
+            args += ["--config", str(tmp_path / "exp.json")]
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2
         # the message names one of the parameters the case sets
         named = {a[2:].replace("-", "_") for a in flags if a.startswith("--")} - {"variant"}
-        named |= {line.split(" = ")[0] for line in ini.splitlines() if " = " in line}
+        named |= set(json.loads(config or "{}"))
         err = capsys.readouterr().err
         assert any(name in err for name in named), err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("ini, named", [
-        ("[variant]\nk_directions = 3.5\n", ["'k_directions'", "[variant]", "3.5"]),
-        ("[engine]\nsigma = lots\n", ["'sigma'", "[engine]", "lots"]),
-        ("[variant]\nwarp_speed = 9\n", ["'warp_speed'", "[variant]"]),
-        ("[mystery]\nx = 1\n", ["[mystery]"]),
-        ("k_directions = 3\n", ["section header"]),
-        ("[variant]\np_g = 0.1\np_g = 0.2\n", ["'p_g'", "'variant'"]),
+    @pytest.mark.parametrize("config, named", [
+        ('{"k_directions": 3.5}', ["'k_directions'", "3.5"]),
+        ('{"sigma": "lots"}', ["'sigma'", "lots"]),
+        ('{"n_fish": true}', ["'n_fish'", "true"]),
+        ('{"warp_speed": 9}', ["'warp_speed'"]),
+        ('{"variant": {"k_directions": 3}}', ["'variant'"]),
+        ('{"k_directions": 3,}', ["line 1 column"]),
+        ('{"p_g": 0.1, "p_g": 0.2}', ["'p_g'", "duplicate"]),
+        ('[{"p_g": 0.1}]', ["JSON object"]),
+        ('{"sigma": null}', ["'sigma'", "null"]),
+        ('{"config": {"n_fish": "4"}, "seeds": [1000]}', ["'n_fish'", '"4"']),
+        ('{"config": {"warp_speed": 9}, "seeds": [1000]}', ["'warp_speed'"]),
+        ('{"config": {"n_fish": 4}, "seeds": [1000], "iterations": 9}', ["'iterations'"]),
+        ('{"seeds": [1000], "resolved_data_source": "surrogate"}', ["'seeds'"]),
     ])
-    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, ini, named):
-        (tmp_path / "exp.ini").write_text(ini)
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, config, named):
+        (tmp_path / "exp.json").write_text(config)
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--problem", "C01", "--variant", "wrfssg", "--iterations", "5",
-                     "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "x")])
+                     "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: wrfss run "), err
-        for word in named + ["exp.ini"]:
+        for word in named + ["exp.json"]:
             assert word in err, err
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_config_file_is_runtime_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--config", str(missing),
+                        "--out", str(tmp_path / "x")]) == 1
+        assert str(missing) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("args", [
@@ -141,19 +155,19 @@ class TestRunCommand:
         ]) == 0
         assert loaded == ["C08"]
 
-    @pytest.mark.parametrize("command, flags, ini", [
+    @pytest.mark.parametrize("command, flags, config", [
         ("run", ["--delta", "-1"], ""),
         ("run", ["--violation-exponent", "0"], ""),
-        ("run", [], "[problem]\ndelta = -1\n"),
-        ("run", [], "[problem]\nviolation_exponent = 0\n"),
+        ("run", [], '{"delta": -1}'),
+        ("run", [], '{"violation_exponent": 0}'),
         ("batch", ["--delta", "-1"], ""),
     ])
-    def test_bad_problem_parameter_leaves_no_output(self, tmp_path, capsys, command, flags, ini):
+    def test_bad_problem_parameter_leaves_no_output(self, tmp_path, capsys, command, flags, config):
         args = [command, "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
                 "--out", str(tmp_path / "x")] + flags
-        if ini:
-            (tmp_path / "exp.ini").write_text(ini)
-            args += ["--config", str(tmp_path / "exp.ini")]
+        if config:
+            (tmp_path / "exp.json").write_text(config)
+            args += ["--config", str(tmp_path / "exp.json")]
         assert run_cli(args) == 1
         err = capsys.readouterr().err
         assert "delta" in err or "violation_exponent" in err, err
@@ -177,13 +191,10 @@ class TestRunCommand:
         assert "C01.txt" in capsys.readouterr().err
 
     def test_config_file_supplies_experiment(self, tmp_path):
-        ini = tmp_path / "exp.ini"
-        ini.write_text(
-            "[problem]\nid = C01\n\n[variant]\nname = wrfss\n\n"
-            "[engine]\niterations = 20\nn_fish = 5\n"
-        )
+        config = tmp_path / "exp.json"
+        config.write_text('{"problem_id": "C01", "variant": "wrfss", "iterations": 20, "n_fish": 5}')
         out = tmp_path / "out"
-        code = run_cli(["run", "--config", str(ini), "--out", str(out)])
+        code = run_cli(["run", "--config", str(config), "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["problem_id"] == "C01"
@@ -199,51 +210,69 @@ class TestConfigFilePrecedence:
         monkeypatch.chdir(tmp_path)
 
     @pytest.fixture
-    def ini(self, tmp_path):
-        ini = tmp_path / "b.ini"
-        ini.write_text("[batch]\nbase_seed = 7\nrun_count = 2\n\n"
-                       f"[output]\ndirectory = {tmp_path / 'fromini'}\n")
-        return str(ini)
+    def config(self, tmp_path):
+        config = tmp_path / "b.json"
+        config.write_text(json.dumps(
+            {"base_seed": 7, "run_count": 2, "output_dir": str(tmp_path / "fromfile")}
+        ))
+        return str(config)
 
     @staticmethod
     def manifest(out):
         return json.loads((out / "manifest.json").read_text())
 
-    def test_batch_takes_seeds_runs_and_directory_from_ini(self, tmp_path, ini):
+    def test_batch_takes_seeds_runs_and_directory_from_file(self, tmp_path, config):
         assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--iterations", "3",
-                        "--n-fish", "4", "--config", ini]) == 0
-        manifest = self.manifest(tmp_path / "fromini")
+                        "--n-fish", "4", "--config", config]) == 0
+        manifest = self.manifest(tmp_path / "fromfile")
         assert manifest["seeds"] == [7, 8]
         assert (manifest["config"]["run_count"], manifest["config"]["base_seed"]) == (2, 7)
         assert not (tmp_path / "out").exists()
 
-    def test_batch_grid_puts_pairs_under_ini_directory(self, tmp_path, ini):
+    def test_batch_grid_puts_pairs_under_file_directory(self, tmp_path, config):
         assert run_cli(["batch", "--problems", "C01,C07", "--variants", "wrfss",
-                        "--iterations", "3", "--n-fish", "4", "--config", ini]) == 0
+                        "--iterations", "3", "--n-fish", "4", "--config", config]) == 0
         for pair in ("C01_wrfss", "C07_wrfss"):
-            assert self.manifest(tmp_path / "fromini" / pair)["seeds"] == [7, 8]
+            assert self.manifest(tmp_path / "fromfile" / pair)["seeds"] == [7, 8]
 
-    def test_flags_override_ini(self, tmp_path, ini):
+    def test_flags_override_file(self, tmp_path, config):
         out = tmp_path / "flagged"
         assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--iterations", "3",
-                        "--n-fish", "4", "--config", ini, "--runs", "3", "--base-seed", "20",
+                        "--n-fish", "4", "--config", config, "--runs", "3", "--base-seed", "20",
                         "--out", str(out)]) == 0
         assert self.manifest(out)["seeds"] == [20, 21, 22]
-        assert not (tmp_path / "fromini").exists()
+        assert not (tmp_path / "fromfile").exists()
 
-    def test_run_takes_seed_and_directory_from_ini(self, tmp_path, ini):
+    def test_run_takes_seed_and_directory_from_file(self, tmp_path, config):
         assert run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
-                        "--n-fish", "4", "--config", ini]) == 0
+                        "--n-fish", "4", "--config", config]) == 0
         # run is one seed, whatever the file's run_count
-        assert self.manifest(tmp_path / "fromini")["seeds"] == [7]
+        assert self.manifest(tmp_path / "fromfile")["seeds"] == [7]
 
-    def test_defaults_without_flags_or_ini(self, tmp_path):
+    def test_defaults_without_flags_or_file(self, tmp_path):
         assert run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
                         "--n-fish", "4"]) == 0
         assert self.manifest(tmp_path / "out")["seeds"] == [1000]
         assert run_cli(["batch", "--problems", "C01,C07", "--variants", "wrfss",
                         "--iterations", "3", "--n-fish", "4", "--runs", "2"]) == 0
         assert self.manifest(tmp_path / "out" / "C07_wrfss")["seeds"] == [1000, 1001]
+
+    def test_batch_takes_pair_from_file(self, tmp_path):
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"problem_id": "C07", "variant": "wrfsse", "run_count": 2,
+                                      "iterations": 3, "n_fish": 4}))
+        assert run_cli(["batch", "--config", str(config)]) == 0
+        manifest = self.manifest(tmp_path / "out")
+        assert (manifest["config"]["problem_id"], manifest["config"]["variant"]) == ("C07", "wrfsse")
+        assert manifest["seeds"] == [1000, 1001]
+
+    def test_batch_grid_names_pairs_with_file_values(self, tmp_path):
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"problem_id": "C07", "iterations": 3, "n_fish": 4}))
+        assert run_cli(["batch", "--config", str(config), "--variants", "wrfss,wrfsse",
+                        "--runs", "1"]) == 0
+        for variant in ("wrfss", "wrfsse"):
+            assert self.manifest(tmp_path / "out" / f"C07_{variant}")["config"]["variant"] == variant
 
 
 class TestBatchCommand:
@@ -268,18 +297,37 @@ class TestBatchCommand:
         assert (out / "summary.json").is_file()
 
     def test_from_manifest_reproduces_stats(self, tmp_path):
-        out = tmp_path / "first"
+        # --config <manifest> replays the batch: every report byte for byte,
+        # and the same manifest apart from the output directory.
+        first = tmp_path / "first"
         assert run_cli([
-            "batch", "--problems", "C01", "--variants", "wrfss",
-            "--runs", "2", "--iterations", "15", "--n-fish", "5", "--out", str(out),
+            "batch", "--problems", "C01", "--variants", "wrfsse", "--runs", "3",
+            "--iterations", "15", "--n-fish", "5", "--sigma", "0.2", "--base-seed", "40",
+            "--out", str(first),
         ]) == 0
         replay = tmp_path / "replay"
-        assert run_cli([
-            "batch", "--from-manifest", str(out / "manifest.json"), "--out", str(replay),
-        ]) == 0
-        a = json.loads((out / "summary.json").read_text())
-        b = json.loads((replay / "summary.json").read_text())
-        assert a["stats"] == b["stats"]
+        assert run_cli(["batch", "--config", str(first / "manifest.json"), "--out", str(replay)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        assert [n for n in names if n.startswith("trace_run")] == [
+            "trace_run000.csv", "trace_run001.csv", "trace_run002.csv"]
+        for name in set(names) - {"manifest.json"}:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+        a = json.loads((first / "manifest.json").read_text())
+        b = json.loads((replay / "manifest.json").read_text())
+        assert b["config"].pop("output_dir") == str(replay)
+        assert a["config"].pop("output_dir") == str(first)
+        assert a == b
+
+    def test_manifest_replay_honours_flags(self, tmp_path):
+        first = tmp_path / "first"
+        assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--runs", "1",
+                        "--iterations", "3", "--n-fish", "4", "--out", str(first)]) == 0
+        replay = tmp_path / "r"
+        assert run_cli(["batch", "--config", str(first / "manifest.json"), "--iterations", "7",
+                        "--problems", "C07", "--out", str(replay)]) == 0
+        config = json.loads((replay / "manifest.json").read_text())["config"]
+        assert (config["iterations"], config["problem_id"], config["n_fish"]) == (7, "C07", 4)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_is_usage_error(self, tmp_path, capsys, jobs):
@@ -332,8 +380,7 @@ COMMON_FLAGS = {
 class TestParameterSurface:
     @pytest.mark.parametrize("command, own", [
         ("run", {"--seed"}),
-        ("batch", {"--problems", "--variants", "--runs", "--base-seed", "--jobs",
-                   "--from-manifest"}),
+        ("batch", {"--problems", "--variants", "--runs", "--base-seed", "--jobs"}),
     ])
     def test_override_flags(self, command, own):
         parser = _build_parser()

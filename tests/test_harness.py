@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from wrfss.harness import (
     VARIANT_NAMES,
     ExperimentConfig,
     SummaryStats,
-    config_from_manifest,
     emit_reports,
     list_presets,
     paper_preset,
     prepare_output_dir,
-    read_config_file,
+    read_config,
     run_batch,
     run_single,
 )
@@ -244,7 +244,7 @@ class TestReports:
         config = tiny_config(tmp_path)
         stats, records = run_batch(config)
         paths = emit_reports(config, stats, records)
-        restored = config_from_manifest(paths["manifest"])
+        restored = ExperimentConfig(**read_config(paths["manifest"]))
         assert restored == config
         stats2, _ = run_batch(restored)
         assert stats2 == stats
@@ -291,18 +291,19 @@ class TestReports:
             prepare_output_dir(blocked)
 
 
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
 class TestConfigFile:
     def test_round_trip_of_values(self, tmp_path):
-        ini = tmp_path / "exp.ini"
-        ini.write_text(
-            "[problem]\nid = C07\ndelta = 1e-4\n\n"
-            "[engine]\nn_fish = 12\niterations = 77\nsigma = 0.1\n\n"
-            "[variant]\nname = wrfsse\ntc_fraction = 0.5\ncp_min = 4\n\n"
-            "[batch]\nrun_count = 2\nbase_seed = 99\n\n"
-            "[output]\ndirectory = results\n"
-        )
-        kwargs = read_config_file(ini)
-        config = ExperimentConfig(**kwargs)
+        path = write_json(tmp_path / "exp.json", {
+            "problem_id": "C07", "delta": 1e-4, "n_fish": 12, "iterations": 77, "sigma": 0.1,
+            "variant": "wrfsse", "tc_fraction": 0.5, "cp_min": 4, "run_count": 2,
+            "base_seed": 99, "output_dir": "results",
+        })
+        config = ExperimentConfig(**read_config(path))
         assert config.problem_id == "C07"
         assert config.variant == "wrfsse"
         assert config.n_fish == 12
@@ -314,101 +315,126 @@ class TestConfigFile:
         assert config.base_seed == 99
         assert config.output_dir == "results"
 
-    def test_empty_values_mean_defaults(self, tmp_path):
-        ini = tmp_path / "exp.ini"
-        ini.write_text("[problem]\nid = C01\n\n[variant]\nname = wrfss\nepsilon0 =\n")
-        kwargs = read_config_file(ini)
-        assert "epsilon0" not in kwargs
+    def test_null_only_for_optional_fields(self, tmp_path):
+        optional = {"data_dir", "data_source", "epsilon0", "perturbation"}
+        nulls = write_json(tmp_path / "nulls.json", dict.fromkeys(optional))
+        assert read_config(nulls) == dict.fromkeys(optional)
+        for name in {f.name for f in dataclasses.fields(ExperimentConfig)} - optional:
+            bad = write_json(tmp_path / "bad.json", {name: None})
+            with pytest.raises(ValueError, match=rf"'{name}' in .*bad\.json.*got null"):
+                read_config(bad)
 
     def test_unknown_key_rejected(self, tmp_path):
-        ini = tmp_path / "exp.ini"
-        ini.write_text("[engine]\nwarp_speed = 9\n")
-        with pytest.raises(ValueError, match="warp_speed"):
-            read_config_file(ini)
+        # the renamed keys and the sections of the former INI format included
+        for key in ["warp_speed", "id", "name", "directory", "problem", "engine", "batch"]:
+            config = write_json(tmp_path / "exp.json", {key: 9})
+            with pytest.raises(ValueError, match=rf"unknown key '{key}' in .*exp\.json"):
+                read_config(config)
 
-    def test_unknown_section_rejected(self, tmp_path):
-        ini = tmp_path / "exp.ini"
-        ini.write_text("[mystery]\nx = 1\n")
-        with pytest.raises(ValueError, match="mystery"):
-            read_config_file(ini)
+    def test_sectioned_object_rejected(self, tmp_path):
+        config = write_json(tmp_path / "exp.json", {"variant": {"k_directions": 3}})
+        with pytest.raises(ValueError, match=r"'variant' in .*exp\.json: expected str"):
+            read_config(config)
 
-    def test_bad_value_names_key_section_and_file(self, tmp_path):
-        ini = tmp_path / "exp.ini"
-        ini.write_text("[engine]\nn_fish = 3.5\n")
-        with pytest.raises(ValueError, match=r"'n_fish' in section \[engine\] of .*exp\.ini"):
-            read_config_file(ini)
+    def test_bad_value_names_key_and_file(self, tmp_path):
+        for value in [3.5, True, "3", [3]]:
+            config = write_json(tmp_path / "exp.json", {"n_fish": value})
+            with pytest.raises(ValueError, match=r"'n_fish' in .*exp\.json: expected int"):
+                read_config(config)
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"p_g": 0.1, "p_g": 0.2}', "duplicate key 'p_g'"),
+        ('{"config": {"p_g": 0.1, "p_g": 0.2}}', "duplicate key 'p_g'"),
+        ('{"p_g": 0.1', "Expecting"),
+        ("[]", "JSON object"),
+        ('{"config": [], "seeds": []}', "JSON object"),
+        ('"C01"', "JSON object"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        (tmp_path / "exp.json").write_text(text)
+        with pytest.raises(ValueError, match=match) as exc:
+            read_config(tmp_path / "exp.json")
+        assert "exp.json" in str(exc.value)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            read_config_file(tmp_path / "nope.ini")
+        with pytest.raises(OSError, match="nope.json"):
+            read_config(tmp_path / "nope.json")
 
 
-# Every INI key, by section, with the value it is read as.
-EVERY_INI_KEY = {
-    "problem": {
-        "id": ("problem_id", "C07"),
-        "delta": ("delta", 2e-4),
-        "violation_exponent": ("violation_exponent", 2.0),
-        "data_dir": ("data_dir", "data"),
-        "data_source": ("data_source", "surrogate"),
-    },
-    "engine": {
-        "n_fish": ("n_fish", 12),
-        "iterations": ("iterations", 77),
-        "sigma": ("sigma", 0.1),
-        "tau": ("tau", 0.2),
-        "w_scale": ("w_scale", 100.0),
-        "step_ind_initial": ("step_ind_initial", 0.3),
-        "step_ind_final": ("step_ind_final", 0.01),
-        "step_vol_initial": ("step_vol_initial", 0.4),
-        "step_vol_final": ("step_vol_final", 0.02),
-        "sar_alpha0": ("sar_alpha0", 0.5),
-        "sar_decay": ("sar_decay", 0.01),
-    },
-    "variant": {
-        "name": ("variant", "wrfssg"),
-        "tc_fraction": ("tc_fraction", 0.5),
-        "cp_min": ("cp_min", 4.0),
-        "epsilon0": ("epsilon0", 1e-3),
-        "p_g": ("p_g", 0.2),
-        "k_directions": ("k_directions", 30),
-        "perturbation": ("perturbation", 1e-5),
-    },
-    "batch": {
-        "run_count": ("run_count", 2),
-        "base_seed": ("base_seed", 99),
-    },
-    "output": {
-        "directory": ("output_dir", "results"),
-    },
+# Every config key with a value of its field's type.
+EVERY_CONFIG_KEY = {
+    "problem_id": "C07",
+    "variant": "wrfssg",
+    "run_count": 2,
+    "base_seed": 99,
+    "output_dir": "results",
+    "data_dir": "data",
+    "data_source": "surrogate",
+    "delta": 2e-4,
+    "violation_exponent": 2.0,
+    "n_fish": 12,
+    "iterations": 77,
+    "sigma": 0.1,
+    "tau": 0.2,
+    "w_scale": 100.0,
+    "step_ind_initial": 0.3,
+    "step_ind_final": 0.01,
+    "step_vol_initial": 0.4,
+    "step_vol_final": 0.02,
+    "sar_alpha0": 0.5,
+    "sar_decay": 0.01,
+    "tc_fraction": 0.5,
+    "cp_min": 4.0,
+    "epsilon0": 1e-3,
+    "p_g": 0.2,
+    "k_directions": 30,
+    "perturbation": 1e-5,
 }
 
 
 class TestParameterSurface:
-    def test_every_ini_key(self, tmp_path):
-        ini = tmp_path / "every.ini"
-        ini.write_text("".join(
-            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, (_, value) in keys.items())
-            for section, keys in EVERY_INI_KEY.items()
-        ))
-        kwargs = read_config_file(ini)
-        expected = {field: value for keys in EVERY_INI_KEY.values() for field, value in keys.values()}
-        assert kwargs == expected
-        assert {k: type(v) for k, v in kwargs.items()} == {k: type(v) for k, v in expected.items()}
+    def test_every_config_key(self, tmp_path):
+        kwargs = read_config(write_json(tmp_path / "every.json", EVERY_CONFIG_KEY))
+        assert kwargs == EVERY_CONFIG_KEY
+        assert {k: type(v) for k, v in kwargs.items()} == {
+            k: type(v) for k, v in EVERY_CONFIG_KEY.items()}
         assert set(kwargs) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-        ExperimentConfig(**kwargs)
+        assert dataclasses.asdict(ExperimentConfig(**kwargs)) == EVERY_CONFIG_KEY
+
+    def test_integers_are_read_as_floats_for_float_fields(self, tmp_path):
+        # so a manifest written from a file matches one written from flags
+        kwargs = read_config(write_json(tmp_path / "ints.json", {"w_scale": 100, "cp_min": 8}))
+        assert kwargs == {"w_scale": 100.0, "cp_min": 8.0}
+        assert {type(v) for v in kwargs.values()} == {float}
+        # an integer beyond the float range is a bad value, not an OverflowError
+        with pytest.raises(ValueError, match="'sigma' in .*huge.json: expected float"):
+            read_config(write_json(tmp_path / "huge.json", {"sigma": 10**400}))
 
     def test_no_other_ini_key(self, tmp_path):
-        # every key of another section, and every field name that is not a
-        # key of this one (problem_id, variant, output_dir), is rejected
-        ini = tmp_path / "misplaced.ini"
-        candidates = {key for keys in EVERY_INI_KEY.values() for key in keys}
-        candidates |= {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for section, keys in EVERY_INI_KEY.items():
-            for key in candidates - keys.keys():
-                ini.write_text(f"[{section}]\n{key} = 1\n")
-                with pytest.raises(ValueError, match=key):
-                    read_config_file(ini)
+        # no spelling of the former INI format is a key: its section names,
+        # its keys that differ from the field names, nor a dotted section.key
+        ini_keys = {
+            "problem": ["id", "delta", "violation_exponent", "data_dir", "data_source"],
+            "engine": ["n_fish", "iterations", "sigma", "tau", "w_scale", "sar_decay"],
+            "variant": ["name", "tc_fraction", "cp_min", "p_g", "k_directions"],
+            "batch": ["run_count", "base_seed"],
+            "output": ["directory"],
+        }
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        candidates = {f"{section}.{key}" for section, keys in ini_keys.items() for key in keys}
+        candidates |= ({key for keys in ini_keys.values() for key in keys} | set(ini_keys)) - fields
+        # the manifest's own keys belong beside "config", not inside it
+        candidates |= {"seeds", "resolved_data_source"}
+        path = tmp_path / "misplaced.json"
+        for key in sorted(candidates):
+            write_json(path, {key: 1})
+            with pytest.raises(ValueError, match=rf"unknown key '{re.escape(key)}'"):
+                read_config(path)
+        # and a field name beside a manifest's "config" is not a manifest key
+        for key in sorted(fields):
+            write_json(path, {"config": {}, key: EVERY_CONFIG_KEY[key]})
+            with pytest.raises(ValueError, match=rf"unknown manifest key '{key}'"):
+                read_config(path)
 
     def test_manifest_config_keys_load(self, tmp_path):
         config = {
@@ -420,11 +446,12 @@ class TestParameterSurface:
             "sar_decay": 0.007, "tc_fraction": 0.6, "cp_min": 8.0, "epsilon0": None,
             "p_g": 0.1, "k_directions": 50, "perturbation": None,
         }
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(
-            {"config": config, "seeds": [1000], "resolved_data_source": "surrogate"}
-        ))
-        assert dataclasses.asdict(config_from_manifest(manifest)) == config
+        manifest = write_json(
+            tmp_path / "manifest.json",
+            {"config": config, "seeds": [1000], "resolved_data_source": "surrogate"},
+        )
+        assert read_config(manifest) == config
+        assert dataclasses.asdict(ExperimentConfig(**read_config(manifest))) == config
 
     @pytest.mark.parametrize("name", sorted(VARIANT_NAMES))
     def test_default_config_builds_engine_defaults(self, name):
