@@ -102,17 +102,27 @@ def _merge_config(
     ``grid``, the pair's ``<problem>_<variant>`` subdirectory is appended to
     the output directory.
     """
-    kwargs: dict = {}
-    if args.preset == "paper":
-        if not given["problem_id"] or not given["variant"]:
-            args.parser.error("--preset paper requires --problem and --variant")
-        preset = harness.paper_preset(given["problem_id"], given["variant"], desk=args.desk)
-        kwargs.update(dataclasses.asdict(preset))
+    from_file: dict = {}
     if args.config:
         try:
-            kwargs.update(harness.read_config(args.config))
+            from_file = harness.read_config(args.config)
         except ValueError as exc:
             args.parser.error(str(exc))
+    kwargs: dict = {}
+    if args.preset == "paper":
+        # The preset's pair comes from the flags, else the config file.
+        problem_id = given["problem_id"] or from_file.get("problem_id")
+        variant = given["variant"] or from_file.get("variant")
+        if not problem_id or not variant:
+            args.parser.error(
+                "--preset paper requires a problem and a variant (flags or config file)"
+            )
+        try:
+            preset = harness.paper_preset(problem_id, variant, desk=args.desk)
+        except ValueError as exc:
+            args.parser.error(str(exc))
+        kwargs.update(dataclasses.asdict(preset))
+    kwargs.update(from_file)
     flags = dict(given, data_dir=args.data_dir, data_source=args.data_source)
     flags.update((name, getattr(args, name)) for name in _OVERRIDE_FIELDS)
     kwargs.update({name: value for name, value in flags.items() if value is not None})

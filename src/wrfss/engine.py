@@ -40,7 +40,7 @@ from .niching import (
     link_formator,
 )
 from .problem import EvaluationError, Problem, evaluate_many
-from .school import School, StepSchedule
+from .school import StepSchedule, accept
 
 __all__ = [
     "VARIANT_KINDS",
@@ -231,14 +231,21 @@ def run(
     variant: Variant = Variant(),
     params: EngineParams = EngineParams(),
     seed: int = 0,
-    observer: Callable[[int, School, LinkGraph], None] | None = None,
+    observer: Callable[..., None] | None = None,
 ) -> RunRecord:
     """Execute one seeded run and return its record.
 
     A fixed seed makes the whole run a deterministic function of the
-    configuration. ``observer``, when given, is called after every iteration
-    with (iteration, school, links) read-only views. An evaluation error
-    aborts the run and is reported on the record instead of raising.
+    configuration. The school is held as local arrays, one row per fish:
+    ``positions``, ``weights``, the last moves ``delta_x`` and ``delta_f``,
+    and the ``fitness`` and ``violation`` of the last scoring.
+
+    ``observer``, when given, is called at the end of every iteration as
+    ``observer(t, positions, weights, fitness, violation, leader)``, with
+    read-only views of the school after the collective movements (its scores
+    are those after the individual movement) and of the follower-to-leader
+    array (-1 for no leader). An evaluation error aborts the run and is
+    reported on the record instead of raising.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -273,41 +280,45 @@ def run(
     def merge_best() -> None:
         # The school's best replaces the incumbent only when strictly better.
         nonlocal best_f, best_v, best_x
-        i = best_index(school.fitness, school.violation)
-        f, v = float(school.fitness[i]), float(school.violation[i])
+        i = best_index(fitness, violation)
+        f, v = float(fitness[i]), float(violation[i])
         if v < best_v if best_v > 0.0 else (v == 0.0 and f < best_f):
-            best_f, best_v, best_x = f, v, school.positions[i].copy()
+            best_f, best_v, best_x = f, v, positions[i].copy()
 
     positions = lower + rng.random((n, d)) * width
+    weights = np.full(n, params.w_scale / 2.0)
+    # The volitive move contracts when the total weight grew since the
+    # previous iteration, and expands otherwise; the first compares with the
+    # start weights.
+    total_weight = float(weights.sum())
     try:
         fitness, violation = evaluate_many(problem, positions)
         eval_count += n
-        school = School.initial(positions, fitness, violation, params.w_scale)
-        i = best_index(school.fitness, school.violation)
-        best_f, best_v = float(school.fitness[i]), float(school.violation[i])
-        best_x = school.positions[i].copy()
+        i = best_index(fitness, violation)
+        best_f, best_v = float(fitness[i]), float(violation[i])
+        best_x = positions[i].copy()
         links = LinkGraph.empty(n)
 
         eps_schedule = None
         if variant.kind == "epsilon":
             eps0 = variant.epsilon0
             if eps0 is None:
-                eps0 = initial_epsilon(school.violation)
+                eps0 = initial_epsilon(violation)
             cutoff = int(round(variant.tc_fraction * params.iterations))
             eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
 
-        trace.append((0, best_f, best_v, decide_phase(school.violation, params.sigma),
-                      int((school.violation == 0.0).sum())))
+        trace.append((0, best_f, best_v, decide_phase(violation, params.sigma),
+                      int((violation == 0.0).sum())))
 
         for t in range(params.iterations):
             # Start-of-iteration evaluation of the current positions (the
             # collective movements of the previous iteration are unscored
             # until here).
-            school.fitness, school.violation = evaluate_many(problem, school.positions)
+            fitness, violation = evaluate_many(problem, positions)
             eval_count += n
             merge_best()
 
-            new_phase = decide_phase(school.violation, params.sigma)
+            new_phase = decide_phase(violation, params.sigma)
             if new_phase == 2 and phase == 1:
                 schedule.boost(params.tau, t)
             phase = new_phase
@@ -316,54 +327,58 @@ def run(
             step_vol = step_vol_frac * width
             alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)
             eps = eps_schedule.value_at(t) if eps_schedule is not None else 0.0
-            active = _active_objective(school.fitness, school.violation, phase, variant)
+            active = _active_objective(fitness, violation, phase, variant)
 
             # Individual movement: candidates, then acceptance.
             if use_probe:
                 candidates = _probe_candidates(
-                    probe_violation, school.positions, phase, step_ind, variant, e_vec, rng,
+                    probe_violation, positions, phase, step_ind, variant, e_vec, rng,
                     lower, upper,
                 )
             else:
                 offsets = rng.uniform(-1.0, 1.0, (n, d))
-                candidates = np.clip(school.positions + offsets * step_ind, lower, upper)
+                candidates = np.clip(positions + offsets * step_ind, lower, upper)
 
             cand_fitness, cand_violation = evaluate_many(problem, candidates)
             eval_count += n
 
             cand_active = _active_objective(cand_fitness, cand_violation, phase, variant)
             if variant.kind == "epsilon":
-                better = epsilon_less_arrays(
-                    cand_fitness, cand_violation, school.fitness, school.violation, eps
-                )
+                better = epsilon_less_arrays(cand_fitness, cand_violation, fitness, violation, eps)
             else:
                 better = cand_active < active
             accepted = better | (rng.random(n) < alpha)
-            school.accept(accepted, candidates, cand_fitness, cand_violation, active - cand_active)
+            positions, fitness, violation, delta_x, delta_f = accept(
+                accepted, candidates, cand_fitness, cand_violation, active - cand_active,
+                positions, fitness, violation,
+            )
             merge_best()
 
             # Feeding: normalize the active objective against its running extremes.
-            active = _active_objective(school.fitness, school.violation, phase, variant)
+            active = _active_objective(fitness, violation, phase, variant)
             extremes[phase].update(active)
-            school.weights = normalized_feeding(
+            weights = normalized_feeding(
                 active, extremes[phase].min, extremes[phase].max, params.w_scale
             )
 
             # Collective movements around the links: the instinctive drift reads
             # the links of the previous iteration, the volitive move the fresh ones.
-            school.positions = leader_instinctive_step(
-                school.positions, school.delta_x, school.delta_f, links,
-                t / params.iterations, lower, upper,
+            positions = leader_instinctive_step(
+                positions, delta_x, delta_f, links, t / params.iterations, lower, upper,
             )
-            links = link_formator(school.weights, links, rng)
-            school.positions = leader_volitive_step(
-                school.positions, school.weights, links, step_vol, school.weight_gained(),
+            links = link_formator(weights, links, rng)
+            previous_total, total_weight = total_weight, float(weights.sum())
+            positions = leader_volitive_step(
+                positions, weights, links, step_vol, total_weight > previous_total,
                 rng.random((n, d)), lower, upper,
             )
 
-            trace.append((t + 1, best_f, best_v, phase, int((school.violation == 0.0).sum())))
+            trace.append((t + 1, best_f, best_v, phase, int((violation == 0.0).sum())))
             if observer is not None:
-                observer(t, school, links)
+                views = [a.view() for a in (positions, weights, fitness, violation, links.leader)]
+                for view in views:
+                    view.flags.writeable = False
+                observer(t, *views)
     except EvaluationError as exc:
         aborted = True
         error = str(exc)

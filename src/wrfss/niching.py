@@ -37,23 +37,6 @@ class LinkGraph:
     def empty(cls, n: int) -> "LinkGraph":
         return cls(leader=np.full(n, -1, dtype=np.int64))
 
-    @property
-    def size(self) -> int:
-        return self.leader.shape[0]
-
-    def is_forest(self) -> bool:
-        """Out-degree is <= 1 by construction; check every chain terminates."""
-        n = self.size
-        for start in range(n):
-            seen = set()
-            node = start
-            while node >= 0:
-                if node in seen:
-                    return False
-                seen.add(node)
-                node = int(self.leader[node])
-        return True
-
 
 def _chain_reaches(leader: list[int], start: int, target: int) -> bool:
     node = start
@@ -75,7 +58,7 @@ def link_formator(
     that would close a cycle is refused. Afterwards every link whose follower
     became strictly heavier than its leader is broken.
     """
-    n = links.size
+    n = len(links.leader)
     if n < 2:
         return LinkGraph(leader=links.leader.copy())
     # The pass is scalar work per fish, so it runs on Python lists; the floats

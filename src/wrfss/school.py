@@ -1,8 +1,10 @@
-"""School state and step schedule.
+"""Individual-movement acceptance and step schedule.
 
-The school is stored as parallel arrays, one row per fish. ``School.accept``
-applies the individual movement's acceptance decisions; the leader-aware
-collective movements live in :mod:`wrfss.niching` and the weight feeding in
+A school is plain parallel arrays, one row per fish: positions, weights, last
+moves (``delta_x``, ``delta_f``), fitness and violation, held as locals of
+:func:`wrfss.engine.run`. ``accept`` applies the individual movement's
+acceptance decisions and returns the new arrays; the leader-aware collective
+movements live in :mod:`wrfss.niching` and the weight feeding in
 :mod:`wrfss.constraint_handling`. Steps decay linearly over the iteration
 budget.
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["School", "StepSchedule"]
+__all__ = ["StepSchedule", "accept"]
 
 
 @dataclass
@@ -70,66 +72,26 @@ class StepSchedule:
         self._anchor_vol = vol * (1.0 + tau)
 
 
-@dataclass
-class School:
-    """Population state stored as parallel arrays (one row per fish)."""
+def accept(
+    accepted: np.ndarray,
+    candidates: np.ndarray,
+    cand_fitness: np.ndarray,
+    cand_violation: np.ndarray,
+    gain: np.ndarray,
+    positions: np.ndarray,
+    fitness: np.ndarray,
+    violation: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Move the accepted fish to their candidates and record the deltas.
 
-    positions: np.ndarray  # (n, d)
-    weights: np.ndarray  # (n,)
-    delta_x: np.ndarray  # (n, d)
-    delta_f: np.ndarray  # (n,)
-    fitness: np.ndarray  # (n,)
-    violation: np.ndarray  # (n,)
-    prev_total_weight: float
-
-    @classmethod
-    def initial(
-        cls,
-        positions: np.ndarray,
-        fitness: np.ndarray,
-        violation: np.ndarray,
-        w_scale: float,
-    ) -> "School":
-        positions = np.asarray(positions, dtype=float)
-        n = positions.shape[0]
-        weights = np.full(n, w_scale / 2.0)
-        return cls(
-            positions=positions,
-            weights=weights,
-            delta_x=np.zeros_like(positions),
-            delta_f=np.zeros(n),
-            fitness=np.asarray(fitness, dtype=float),
-            violation=np.asarray(violation, dtype=float),
-            prev_total_weight=float(weights.sum()),
-        )
-
-    def accept(
-        self,
-        accepted: np.ndarray,
-        candidates: np.ndarray,
-        fitness: np.ndarray,
-        violation: np.ndarray,
-        gain: np.ndarray,
-    ) -> None:
-        """Move the accepted fish to their candidates and record the deltas.
-
-        ``gain`` is the improvement (current score - candidate score) under
-        the active objective. A rejected fish keeps its position and
-        evaluation, with zero deltas.
-        """
-        self.delta_f = np.where(accepted, gain, 0.0)
-        self.delta_x = np.where(accepted[:, None], candidates - self.positions, 0.0)
-        self.positions = np.where(accepted[:, None], candidates, self.positions)
-        self.fitness = np.where(accepted, fitness, self.fitness)
-        self.violation = np.where(accepted, violation, self.violation)
-
-    def weight_gained(self) -> bool:
-        """Whether the total weight grew since the previous call.
-
-        Remembers the current total for the next call; the volitive movement
-        contracts on a gain and expands otherwise.
-        """
-        total = float(self.weights.sum())
-        gained = total > self.prev_total_weight
-        self.prev_total_weight = total
-        return gained
+    ``gain`` is the improvement (current score - candidate score) under the
+    active objective. A rejected fish keeps its position and evaluation, with
+    zero deltas. Returns new ``(positions, fitness, violation, delta_x,
+    delta_f)`` arrays; the inputs are not modified.
+    """
+    delta_f = np.where(accepted, gain, 0.0)
+    delta_x = np.where(accepted[:, None], candidates - positions, 0.0)
+    positions = np.where(accepted[:, None], candidates, positions)
+    fitness = np.where(accepted, cand_fitness, fitness)
+    violation = np.where(accepted, cand_violation, violation)
+    return positions, fitness, violation, delta_x, delta_f

@@ -29,6 +29,8 @@ from wrfss.niching import LinkGraph, link_formator
 from wrfss.problem import Problem
 from wrfss.school import StepSchedule
 
+from oracles import is_forest
+
 SEED_BASE = 20100
 RUNS = 25
 JOBS = 2
@@ -301,10 +303,9 @@ def test_criterion_12_niching_structure():
     # the graph stays a forest after every engine iteration
     checked = {"iterations": 0}
 
-    def observer(t, school, links):
-        assert links.is_forest()
-        assert np.all(np.bincount(links.leader[links.leader >= 0],
-                                  minlength=links.size) >= 0)
+    def observer(t, positions, weights, fitness, violation, leader):
+        assert is_forest(leader)
+        assert np.all(np.bincount(leader[leader >= 0], minlength=len(leader)) >= 0)
         checked["iterations"] += 1
 
     for pid, seed in (("C01", 1), ("C03", 2)):

@@ -275,6 +275,30 @@ class TestConfigFilePrecedence:
             assert self.manifest(tmp_path / "out" / f"C07_{variant}")["config"]["variant"] == variant
 
 
+    def test_preset_takes_pair_from_file(self, tmp_path):
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"problem_id": "C01", "variant": "wrfsse", "iterations": 3,
+                                      "n_fish": 4}))
+        assert run_cli(["run", "--config", str(config), "--preset", "paper", "--desk"]) == 0
+        manifest = self.manifest(tmp_path / "out")["config"]
+        assert (manifest["problem_id"], manifest["variant"]) == ("C01", "wrfsse")
+        assert manifest["tau"] == 0.30  # from the wrfsse preset
+        assert manifest["iterations"] == 3  # the file overrides the preset
+
+    @pytest.mark.parametrize("pair,message", [
+        ({}, "--preset paper requires a problem and a variant"),
+        ({"problem_id": "C01", "variant": "wrfsz"}, "variant must be one of"),
+    ])
+    def test_preset_without_valid_pair_is_usage_error(self, tmp_path, capsys, pair, message):
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"iterations": 3, **pair}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(config), "--preset", "paper", "--desk"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestBatchCommand:
     def test_grid_writes_one_directory_per_pair(self, tmp_path):
         out = tmp_path / "grid"

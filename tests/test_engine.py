@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from wrfss.engine import EngineParams, Variant, decide_phase, run
 from wrfss.problem import Problem
 from wrfss.school import StepSchedule
+
+from oracles import is_forest
 
 
 def sphere(d=4, lo=-10.0, hi=10.0):
@@ -311,19 +314,40 @@ class TestRun:
             Variant("base"),
             EngineParams(n_fish=6, iterations=25),
             seed=2,
-            observer=lambda t, school, links: seen.append((t, links.is_forest())),
+            observer=lambda t, positions, weights, fitness, violation, leader: seen.append(
+                (t, is_forest(leader))
+            ),
         )
         assert [t for t, _ in seen] == list(range(25))
         assert all(ok for _, ok in seen)
 
+    def test_observer_gets_read_only_arrays(self):
+        problem = ring()
+        params = EngineParams(n_fish=8, iterations=30)
+        refused = []
+
+        def write_into_each(t, *arrays):
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+            refused.append(len(arrays))
+
+        observed = run(problem, Variant("epsilon"), params, seed=6, observer=write_into_each)
+        assert refused == [5] * 30
+        plain = run(problem, Variant("epsilon"), params, seed=6)
+        for field in dataclasses.fields(plain):
+            if field.name != "wall_time":
+                a, b = getattr(observed, field.name), getattr(plain, field.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
     def test_positions_stay_in_box(self):
         problem = ring()
 
-        def check(t, school, links):
-            assert np.all(school.positions >= problem.lower - 1e-15)
-            assert np.all(school.positions <= problem.upper + 1e-15)
-            assert np.all(school.weights >= 1.0)
-            assert np.all(school.weights <= 5000.0)
+        def check(t, positions, weights, fitness, violation, leader):
+            assert np.all(positions >= problem.lower - 1e-15)
+            assert np.all(positions <= problem.upper + 1e-15)
+            assert np.all(weights >= 1.0)
+            assert np.all(weights <= 5000.0)
 
         run(problem, Variant("base"), EngineParams(n_fish=8, iterations=60), seed=3,
             observer=check)

@@ -1,0 +1,49 @@
+"""Golden runs: one short run per variant kind on C01 and C08, pinned by sha256.
+
+Each digest covers the trace CSV bytes as the reports write them, plus the
+``repr`` of the record's best fitness, best violation, best position (as a
+list, so every float is written in full), evaluation count and probe count.
+A change to the random stream, the stage order or any float operation of
+the engine changes a digest.
+
+The digests assume this platform's floating point (numpy's kernels and the
+BLAS behind it), the same assumption ``perfbench/pins.json`` makes.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from wrfss.harness import _write_trace, paper_preset, run_single
+
+GOLDEN = {
+    ("C01", "wrfss"): "eac79dcb252e77147b30c3597c5f7e6ad083051e4aca6402ce39cab5630de777",
+    ("C01", "wrfsse"): "668992f55dadfb3384415754a379d67ac09d0215705d51b545a17026223f813c",
+    ("C01", "wrfssg"): "7d0f5062e189e9599378acddc08fd1e1a8527c0ad34a479a61acceb5753efcb9",
+    ("C01", "wrfssp"): "74427cd7d1cc589c01a7bd547d5700789f8662f4f7fceadcf8653019422706b5",
+    ("C08", "wrfss"): "9c5aa2fe82c42ab1e20df1ea1ea7d9aef12648ea826caa27d57a48ec07fa9a76",
+    ("C08", "wrfsse"): "aab55d3127dbf80f87a3b29723670f66cf86757ef5b3508caca03fadfe1b5851",
+    ("C08", "wrfssg"): "eb00b287a0a5ad4a4d25d440363af26bee5175f40c00633d26cafafd9de290fd",
+    ("C08", "wrfssp"): "61d9bca3e73169e8aec8c9d8344d9bd28c2943981d562a79fa54890b476179da",
+}
+
+
+def run_digest(problem_id, variant, tmp_path):
+    config = dataclasses.replace(
+        paper_preset(problem_id, variant, desk=True),
+        data_source="surrogate", n_fish=10, iterations=200,
+    )
+    record = run_single(config, seed=1000)
+    trace = tmp_path / "trace.csv"
+    _write_trace(trace, record)
+    digest = hashlib.sha256(trace.read_bytes())
+    for value in (record.best_fitness, record.best_violation, record.best_position.tolist(),
+                  record.eval_count, record.probe_count):
+        digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("problem_id,variant", list(GOLDEN))
+def test_golden_run(problem_id, variant, tmp_path):
+    assert run_digest(problem_id, variant, tmp_path) == GOLDEN[problem_id, variant]

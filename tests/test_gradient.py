@@ -4,7 +4,7 @@ import pytest
 from wrfss.engine import EngineParams, Variant, _probe_candidates, run
 from wrfss.gradient import forward_gradient, pick_direction
 from wrfss.problem import Problem, evaluate_many
-from wrfss.school import School
+from wrfss.school import accept
 
 
 def box(d, lo=-100.0, hi=100.0, **kw):
@@ -120,7 +120,7 @@ class TestPickDirection:
 
 
 class TestProbeMove:
-    """The engine's probe-gated candidates, accepted through School.accept."""
+    """The engine's probe-gated candidates, accepted through accept()."""
 
     @staticmethod
     def candidates(problem, positions, phase, step, variant, rng):
@@ -156,32 +156,39 @@ class TestProbeMove:
             objective=lambda x: np.zeros(len(x)),
             inequalities=(lambda x: x[:, 0] + 50.0,),  # g > 0 over most of the box
         )
-        school = School.initial(np.array([[10.0, 0.0]]), *evaluate_many(problem, [[10.0, 0.0]]), 10.0)
+        start = np.array([[10.0, 0.0]])
+        fitness, violation = evaluate_many(problem, start)
         variant = Variant("gradient", k_directions=64, p_g=1.0)
-        cand, calls = self.candidates(problem, school.positions, 1, 5.0, variant,
+        cand, calls = self.candidates(problem, start, 1, 5.0, variant,
                                       np.random.default_rng(13))
         assert calls == [3]  # one probe of D+1 rows
         cand_f, cand_v = evaluate_many(problem, cand)
         # with many sampled directions the chosen one points down in x0
         assert cand[0, 0] < 10.0
-        assert cand_v[0] < school.violation[0]
-        school.accept(cand_v < school.violation, cand, cand_f, cand_v, school.violation - cand_v)
-        assert np.array_equal(school.positions, cand)
-        assert school.delta_f[0] > 0.0
+        assert cand_v[0] < violation[0]
+        positions, _, _, _, delta_f = accept(
+            cand_v < violation, cand, cand_f, cand_v, violation - cand_v,
+            start, fitness, violation,
+        )
+        assert np.array_equal(positions, cand)
+        assert delta_f[0] > 0.0
 
     def test_rejection_keeps_position_and_zero_deltas(self):
         # violation already zero everywhere: no candidate can improve
         problem = box(2, objective=lambda x: np.zeros(len(x)))
         start = np.array([[1.0, 1.0], [-2.0, 3.0]])
-        school = School.initial(start, *evaluate_many(problem, start), 10.0)
+        fitness, violation = evaluate_many(problem, start)
         variant = Variant("gradient", k_directions=4, p_g=1.0)
         cand, calls = self.candidates(problem, start, 1, 0.5, variant, np.random.default_rng(5))
         assert calls == [3, 3]
         cand_f, cand_v = evaluate_many(problem, cand)
-        school.accept(cand_v < school.violation, cand, cand_f, cand_v, school.violation - cand_v)
-        assert np.array_equal(school.positions, start)
-        assert np.all(school.delta_f == 0.0)
-        assert np.all(school.delta_x == 0.0)
+        positions, _, _, delta_x, delta_f = accept(
+            cand_v < violation, cand, cand_f, cand_v, violation - cand_v,
+            start, fitness, violation,
+        )
+        assert np.array_equal(positions, start)
+        assert np.all(delta_f == 0.0)
+        assert np.all(delta_x == 0.0)
 
     def test_paper_scale_configuration_accepted(self):
         variant = Variant("gradient", k_directions=200, p_g=0.10)

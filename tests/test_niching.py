@@ -8,6 +8,8 @@ from wrfss.niching import (
     link_formator,
 )
 
+from oracles import is_forest
+
 LO, HI = -100.0, 100.0
 
 
@@ -89,7 +91,7 @@ class TestLinkFormator:
         out = link_formator(weights, links, ScriptedPartners([1, 0]))
         assert out.leader[0] == -1
         # the break pass removes 1 -> 0 anyway since w[1] > w[0]
-        assert out.is_forest()
+        assert is_forest(out.leader)
 
     def test_forest_under_random_hammering(self):
         rng = np.random.default_rng(23)
@@ -98,7 +100,7 @@ class TestLinkFormator:
         for _ in range(300):
             weights = rng.uniform(1.0, 10.0, n)
             links = link_formator(weights, links, rng)
-            assert links.is_forest()
+            assert is_forest(links.leader)
             # no fish follows a strictly lighter fish after the break pass
             followers = np.flatnonzero(links.leader >= 0)
             assert np.all(weights[followers] <= weights[links.leader[followers]])
@@ -114,6 +116,12 @@ class TestLinkFormator:
             assert out.leader.tolist() == [new_leader, 0, -1, 0, -1]
 
 
+def test_is_forest_oracle():
+    assert is_forest([]) and is_forest([-1]) and is_forest([-1, 0, 0, 1])
+    for cyclic in ([0], [1, 0], [-1, 2, 3, 1]):
+        assert not is_forest(cyclic)
+
+
 def reference_link_formator(weights, links, rng):
     """The link pass written on numpy arrays and scalars, kept as an oracle
     for the list-based ``link_formator``."""
@@ -126,7 +134,7 @@ def reference_link_formator(weights, links, rng):
             node = int(leader[node])
         return False
 
-    n = links.size
+    n = len(links.leader)
     leader = links.leader.copy()
     if n < 2:
         return LinkGraph(leader=leader)
@@ -175,7 +183,7 @@ def test_link_formator_matches_reference(case):
     setup = np.random.default_rng([7, case])
     n = int(setup.integers(1, 41))
     links = random_forest(setup, n)
-    assert links.is_forest()
+    assert is_forest(links.leader)
     # Integer weights give ties, which exercise the strict comparisons.
     ties = case % 3 == 0
     seed = int(setup.integers(0, 2**32))

@@ -244,6 +244,16 @@ def test_removed_per_point_names_are_gone():
     assert "vectorized" not in Problem.__dataclass_fields__
 
 
+def test_package_exports_the_library_api():
+    # The stage functions are imported from their modules, not from wrfss.
+    assert sorted(wrfss.__all__) == sorted([
+        "__version__", "Problem", "EvaluationError", "evaluate_many", "violation_many",
+        "Variant", "EngineParams", "RunRecord", "run",
+    ])
+    for name in wrfss.__all__:
+        assert hasattr(wrfss, name)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         box(0, 0, 1, objective=zeros)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from wrfss.engine import VARIANT_KINDS, EngineParams, Variant, run
 from wrfss.problem import Problem, evaluate_many
 
+from oracles import is_forest
+
 unit = st.floats(0.0, 1.0)
 
 
@@ -78,12 +80,12 @@ def test_run_invariants(kind, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     seen = []
 
-    def observe(t, school, links):
+    def observe(t, positions, weights, fitness, violation, leader):
         seen.append(t)
-        assert np.all(school.positions >= problem.lower)
-        assert np.all(school.positions <= problem.upper)
-        assert np.all(school.weights >= 1.0) and np.all(school.weights <= params.w_scale)
-        assert links.is_forest()
+        assert np.all(positions >= problem.lower)
+        assert np.all(positions <= problem.upper)
+        assert np.all(weights >= 1.0) and np.all(weights <= params.w_scale)
+        assert is_forest(leader)
 
     rec = run(problem, variant, params, seed=seed, observer=observe)
     assert not rec.aborted
@@ -121,9 +123,9 @@ def test_trace_rows_follow_feasibility_rules(kind, data):
     # after the collective moves, which the next iteration starts by re-scoring
     accepted, moved = [], []
 
-    def observe(t, school, links):
-        accepted.append((school.fitness.copy(), school.violation.copy()))
-        moved.append(school.positions.copy())
+    def observe(t, positions, weights, fitness, violation, leader):
+        accepted.append((fitness.copy(), violation.copy()))
+        moved.append(positions.copy())
 
     rec = run(problem, variant, params, seed=seed, observer=observe)
     rows = list(zip(rec.trace_best_fitness, rec.trace_best_violation))

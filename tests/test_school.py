@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from wrfss import engine
 from wrfss.constraint_handling import RunningExtremes, normalized_feeding
 from wrfss.engine import EngineParams, Variant, run
 from wrfss.niching import LinkGraph, leader_instinctive_step, leader_volitive_step
 from wrfss.problem import Problem, evaluate_many
-from wrfss.school import School, StepSchedule
+from wrfss.school import StepSchedule, accept
 
 
 def box(d=2, lo=-10.0, hi=10.0, objective=None):
@@ -17,18 +18,14 @@ def box(d=2, lo=-10.0, hi=10.0, objective=None):
     )
 
 
-def make_school(positions, weights, problem, delta_x=None, delta_f=None):
-    positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    fitness, violation = evaluate_many(problem, positions)
-    return School(
-        positions=positions,
-        weights=np.asarray(weights, dtype=float),
-        delta_x=np.zeros_like(positions) if delta_x is None else np.asarray(delta_x, float),
-        delta_f=np.zeros(n) if delta_f is None else np.asarray(delta_f, float),
-        fitness=fitness,
-        violation=violation,
-        prev_total_weight=float(np.sum(weights)),
+def ring(d=3):
+    # feasible only inside the unit ball around the origin
+    return Problem(
+        dimension=d,
+        lower=np.full(d, -5.0),
+        upper=np.full(d, 5.0),
+        objective=lambda x: np.asarray(x)[..., 0],
+        inequalities=(lambda x: (np.asarray(x) ** 2).sum(axis=-1) - 1.0,),
     )
 
 
@@ -84,51 +81,60 @@ class TestStepSchedule:
 
 
 class TestIndividualMovement:
-    """Acceptance of the individual movement through School.accept."""
+    """Acceptance of the individual movement through accept()."""
 
-    def step(self, school, problem, candidates, sar_alpha, rng):
+    def step(self, positions, problem, candidates, sar_alpha, rng):
+        fitness, violation = evaluate_many(problem, positions)
         cand_f, cand_v = evaluate_many(problem, candidates)
-        accepted = (cand_f < school.fitness) | (rng.random(len(school.positions)) < sar_alpha)
-        before = school.positions.copy(), school.fitness.copy()
-        school.accept(accepted, candidates, cand_f, cand_v, school.fitness - cand_f)
-        return accepted, before
+        accepted = (cand_f < fitness) | (rng.random(len(positions)) < sar_alpha)
+        moved = accept(
+            accepted, candidates, cand_f, cand_v, fitness - cand_f,
+            positions, fitness, violation,
+        )
+        return accepted, fitness, moved
 
     def test_improving_candidate_accepted(self):
         problem = box(2)
-        school = make_school([[3.0, 4.0], [1.0, 1.0]], [5.0, 5.0], problem)
+        positions = np.array([[3.0, 4.0], [1.0, 1.0]])
         candidates = np.array([[2.0, 2.0], [3.0, 3.0]])
-        accepted, (pos0, fit0) = self.step(
-            school, problem, candidates, 0.0, np.random.default_rng(1)
+        accepted, fit0, (pos, fit, _, delta_x, delta_f) = self.step(
+            positions, problem, candidates, 0.0, np.random.default_rng(1)
         )
         assert accepted.tolist() == [True, False]
-        assert np.array_equal(school.positions[0], candidates[0])
-        assert np.array_equal(school.delta_x[0], candidates[0] - pos0[0])
-        assert school.fitness[0] == 8.0
-        assert school.delta_f[0] == pytest.approx(fit0[0] - 8.0)
-        assert school.delta_f[0] > 0.0
+        assert np.array_equal(pos, [candidates[0], positions[1]])
+        assert np.array_equal(delta_x[0], candidates[0] - positions[0])
+        assert fit.tolist() == [8.0, 2.0]
+        assert delta_f[0] == pytest.approx(fit0[0] - 8.0)
+        assert delta_f[0] > 0.0
+        assert np.all(delta_x[1] == 0.0) and delta_f[1] == 0.0
+        # the inputs are left as they were
+        assert np.array_equal(positions, [[3.0, 4.0], [1.0, 1.0]])
+        assert fit0.tolist() == [25.0, 2.0]
 
     def test_non_improving_rejected_without_sar(self):
         # every fish sits at the minimum: every candidate is worse
         problem = box(2)
-        school = make_school(np.zeros((3, 2)), np.full(3, 5.0), problem)
         rng = np.random.default_rng(2)
         candidates = rng.uniform(-0.5, 0.5, (3, 2))
-        accepted, _ = self.step(school, problem, candidates, 0.0, rng)
+        accepted, _, (pos, fit, viol, delta_x, delta_f) = self.step(
+            np.zeros((3, 2)), problem, candidates, 0.0, rng
+        )
         assert not accepted.any()
-        assert np.array_equal(school.positions, np.zeros((3, 2)))
-        assert np.all(school.delta_x == 0.0)
-        assert np.all(school.delta_f == 0.0)
-        assert np.all(school.fitness == 0.0)
+        assert np.array_equal(pos, np.zeros((3, 2)))
+        assert np.all(delta_x == 0.0)
+        assert np.all(delta_f == 0.0)
+        assert np.all(fit == 0.0) and np.all(viol == 0.0)
 
     def test_non_improving_accepted_with_full_sar(self):
         problem = box(2)
-        school = make_school(np.zeros((3, 2)), np.full(3, 5.0), problem)
         rng = np.random.default_rng(3)
         candidates = rng.uniform(-0.5, 0.5, (3, 2))
-        accepted, _ = self.step(school, problem, candidates, 1.0, rng)
+        accepted, _, (pos, _, _, _, delta_f) = self.step(
+            np.zeros((3, 2)), problem, candidates, 1.0, rng
+        )
         assert accepted.all()
-        assert np.array_equal(school.positions, candidates)
-        assert np.all(school.delta_f < 0.0)  # accepted worsening moves
+        assert np.array_equal(pos, candidates)
+        assert np.all(delta_f < 0.0)  # accepted worsening moves
 
     def test_candidate_stays_in_box(self):
         # steps as wide as the box: every evaluated candidate must be clipped
@@ -171,11 +177,10 @@ class TestFeeding:
         assert w.tolist() == [5.5, 3.25]
 
     def test_zero_deltas_leave_weights(self):
-        # a school whose scores never change keeps its initial weights
-        school = School.initial(np.zeros((3, 2)), np.full(3, 7.0), np.zeros(3), 10.0)
+        # a school whose scores never change keeps the start weights, w_scale / 2
         extremes = RunningExtremes()
         for _ in range(5):
-            assert np.array_equal(feed(school.fitness, extremes, 10.0), school.weights)
+            assert np.array_equal(feed(np.full(3, 7.0), extremes, 10.0), np.full(3, 5.0))
 
     def test_cap_at_scale(self):
         extremes = RunningExtremes()
@@ -203,19 +208,12 @@ class TestCollectiveInstinctive:
     def test_weighted_average_hand_value(self):
         # fish 0 and 2 both follow fish 1; fish 1 has no leader
         problem = box(2)
-        school = make_school(
-            [[0, 0], [5, 5], [1, 1]],
-            [1.0, 4.0, 1.0],
-            problem,
-            delta_x=[[1, 0], [0, 1], [2, 2]],
-            delta_f=[1.0, 3.0, 1.0],
-        )
-        links = LinkGraph(leader=np.array([1, -1, 1]))
+        positions = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 1.0]])
         out = leader_instinctive_step(
-            school.positions, school.delta_x, school.delta_f, links, 1.0,
-            problem.lower, problem.upper,
+            positions, np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), np.array([1.0, 3.0, 1.0]),
+            LinkGraph(leader=np.array([1, -1, 1])), 1.0, problem.lower, problem.upper,
         )
-        drift = out - school.positions
+        drift = out - positions
         assert np.allclose(drift[0], [0.25, 0.75])  # (1*[1,0] + 3*[0,1]) / 4
         assert np.allclose(drift[1], [0.0, 1.0])  # own delta only
         assert np.allclose(drift[2], [0.5, 1.25])  # (1*[2,2] + 3*[0,1]) / 4
@@ -223,30 +221,27 @@ class TestCollectiveInstinctive:
     def test_zero_delta_sum_no_move(self):
         # a school whose moves were all rejected does not drift, links or not
         problem = box(2)
-        school = make_school([[0, 0], [5, 5], [1, 2]], [1.0, 2.0, 3.0], problem)
+        positions = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 2.0]])
         for leader in ([-1, -1, -1], [1, 2, -1]):
             out = leader_instinctive_step(
-                school.positions, school.delta_x, school.delta_f,
+                positions, np.zeros((3, 2)), np.zeros(3),
                 LinkGraph(leader=np.array(leader)), 0.9, problem.lower, problem.upper,
             )
-            assert np.array_equal(out, school.positions)
+            assert np.array_equal(out, positions)
 
     def test_single_fish_moves_by_own_delta(self):
         problem = box(1)
-        school = make_school([[1.0]], [1.0], problem, delta_x=[[2.0]], delta_f=[5.0])
         out = leader_instinctive_step(
-            school.positions, school.delta_x, school.delta_f, LinkGraph.empty(1), 1.0,
+            np.array([[1.0]]), np.array([[2.0]]), np.array([5.0]), LinkGraph.empty(1), 1.0,
             problem.lower, problem.upper,
         )
         assert out[0, 0] == pytest.approx(3.0)
 
     def test_positions_clamped(self):
         problem = box(1, lo=0.0, hi=4.0)
-        school = make_school([[3.5], [0.5]], [1.0, 1.0], problem,
-                             delta_x=[[2.0], [-2.0]], delta_f=[1.0, 1.0])
         out = leader_instinctive_step(
-            school.positions, school.delta_x, school.delta_f, LinkGraph.empty(2), 1.0,
-            problem.lower, problem.upper,
+            np.array([[3.5], [0.5]]), np.array([[2.0], [-2.0]]), np.array([1.0, 1.0]),
+            LinkGraph.empty(2), 1.0, problem.lower, problem.upper,
         )
         assert out[:, 0].tolist() == [4.0, 0.0]
 
@@ -254,47 +249,78 @@ class TestCollectiveInstinctive:
 class TestCollectiveVolitive:
     """Whole-school leader-aware volitive move (the engine's volitive stage)."""
 
-    def move(self, school, problem, links, gained):
+    def move(self, positions, leader, gained):
+        problem = box(1, lo=-100, hi=100)
+        positions = np.asarray(positions, dtype=float)
         return leader_volitive_step(
-            school.positions, school.weights, links, 0.5, gained,
-            np.ones(school.positions.shape), problem.lower, problem.upper,
+            positions, np.ones(len(positions)), LinkGraph(leader=np.array(leader)), 0.5,
+            gained, np.ones(positions.shape), problem.lower, problem.upper,
         )
 
     def test_attract_hand_value(self):
         # fish 0 follows fish 1; fish 2 has no leader
-        problem = box(1, lo=-100, hi=100)
-        school = make_school([[2.0], [0.0], [7.0]], [1.0, 1.0, 1.0], problem)
-        out = self.move(school, problem, LinkGraph(leader=np.array([1, -1, -1])), True)
+        out = self.move([[2.0], [0.0], [7.0]], [1, -1, -1], True)
         # pair barycenter 1.0; x=2 moves to 2 - 0.5 * 1 * (2-1)/1 = 1.5
         assert out[:, 0].tolist() == [1.5, 0.0, 7.0]
 
     def test_spread_hand_value(self):
-        problem = box(1, lo=-100, hi=100)
-        school = make_school([[2.0], [0.0], [7.0]], [1.0, 1.0, 1.0], problem)
-        out = self.move(school, problem, LinkGraph(leader=np.array([1, -1, -1])), False)
+        out = self.move([[2.0], [0.0], [7.0]], [1, -1, -1], False)
         assert out[:, 0].tolist() == [2.5, 0.0, 7.0]
 
-    def test_updates_previous_total(self):
-        problem = box(1)
-        school = make_school([[2.0], [0.0]], [1.0, 3.0], problem)
-        school.prev_total_weight = 0.0
-        assert school.weight_gained()
-        assert school.prev_total_weight == 4.0
-        assert not school.weight_gained()  # no change is not a gain
-        school.weights = np.array([1.0, 2.0])
-        assert not school.weight_gained()
-        assert school.prev_total_weight == 3.0
+    def test_updates_previous_total(self, monkeypatch):
+        # The school's total weight is carried from one iteration to the next:
+        # the volitive move contracts exactly when the total grew since the
+        # previous iteration, the first comparing with the start weights,
+        # w_scale / 2 per fish. The first fed total lies above that start
+        # total for seed 8 and below it for seed 13.
+        flags = []
+
+        def volitive(positions, weights, links, step_vol, gained, *rest):
+            flags.append(gained)
+            return leader_volitive_step(positions, weights, links, step_vol, gained, *rest)
+
+        monkeypatch.setattr(engine, "leader_volitive_step", volitive)
+        params = EngineParams(n_fish=6, iterations=40, w_scale=10.0)
+        for seed, first in ((8, True), (13, False)):
+            flags.clear()
+            totals = [6 * 5.0]
+            run(ring(), Variant("base"), params, seed=seed,
+                observer=lambda t, positions, weights, *_: totals.append(float(weights.sum())))
+            assert flags == [b > a for a, b in zip(totals, totals[1:])]
+            assert flags[0] is first and True in flags and False in flags
+        # A flat objective feeds every fish w_scale / 2, so the total never
+        # changes, and no change is not a gain.
+        flags.clear()
+        run(box(2, lo=-1.0, hi=1.0, objective=lambda x: np.zeros(len(x))), Variant("base"),
+            params, seed=8)
+        assert flags == [False] * 40
 
 
-def test_school_initial_state():
-    problem = box(2)
-    rng = np.random.default_rng(13)
-    pts = rng.uniform(-10, 10, (4, 2))
+def test_school_initial_state(monkeypatch):
+    # The initial school is n uniform draws in the box from the run's seeded
+    # stream, scored once, and the first trace row records its best. Every
+    # fish starts at weight w_scale / 2: the first volitive move compares the
+    # first fed total with n * w_scale / 2.
+    scored, moves = [], []
+
+    def scoring(problem, points):
+        scored.append(np.array(points))
+        return evaluate_many(problem, points)
+
+    def volitive(positions, weights, links, step_vol, gained, *rest):
+        moves.append((float(weights.sum()), gained))
+        return leader_volitive_step(positions, weights, links, step_vol, gained, *rest)
+
+    monkeypatch.setattr(engine, "evaluate_many", scoring)
+    monkeypatch.setattr(engine, "leader_volitive_step", volitive)
+    problem = ring()
+    rec = run(problem, Variant("base"), EngineParams(n_fish=4, iterations=1, w_scale=5000.0),
+              seed=13)
+    pts = problem.lower + np.random.default_rng(13).random((4, 3)) * problem.range_width
+    assert np.array_equal(scored[0], pts)
+    assert np.all(pts >= problem.lower) and np.all(pts <= problem.upper)
     f, v = evaluate_many(problem, pts)
-    school = School.initial(pts, f, v, w_scale=5000.0)
-    assert np.all(school.weights == 2500.0)
-    assert school.prev_total_weight == 10000.0
-    assert len(school.positions) == 4
-    assert np.array_equal(school.positions[2], pts[2])
-    assert np.all(school.delta_f == 0.0) and np.all(school.delta_x == 0.0)
-    assert school.fitness[2] == f[2]
+    i = engine.best_index(f, v)
+    assert (rec.trace_best_fitness[0], rec.trace_best_violation[0]) == (f[i], v[i])
+    [(total, gained)] = moves
+    assert gained == (total > 4 * 2500.0)
