@@ -1,5 +1,8 @@
 """Golden runs: one short run per variant kind on C01 and C08, pinned by sha256.
 
+Two more pin the gradient variant where its probe does most: C07 (sigma 0.5,
+so the phase flips between 1 and 2) and C06 (rotated constraints, k = 50).
+
 Each digest covers the trace CSV bytes as the reports write them, plus the
 ``repr`` of the record's best fitness, best violation, best position (as a
 list, so every float is written in full), evaluation count and probe count.
@@ -26,6 +29,8 @@ GOLDEN = {
     ("C08", "wrfsse"): "aab55d3127dbf80f87a3b29723670f66cf86757ef5b3508caca03fadfe1b5851",
     ("C08", "wrfssg"): "eb00b287a0a5ad4a4d25d440363af26bee5175f40c00633d26cafafd9de290fd",
     ("C08", "wrfssp"): "61d9bca3e73169e8aec8c9d8344d9bd28c2943981d562a79fa54890b476179da",
+    ("C07", "wrfssg"): "e5c5dc7d34d0a6b2857d42f36482f18984a3e6d8bf9d6e0e99f830f246b75390",
+    ("C06", "wrfssg"): "d01da06ccdbd29eb2aecda7bf8ef388e58b7ac3e68da906a187c75ba98e3e1b6",
 }
 
 
