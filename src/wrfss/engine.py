@@ -39,7 +39,7 @@ from .niching import (
     leader_volitive_step,
     link_formator,
 )
-from .problem import EvaluationError, Problem, evaluate_many
+from .problem import EvaluationError, Problem, evaluate_many, violation_many
 from .school import StepSchedule, accept
 
 __all__ = [
@@ -207,22 +207,35 @@ def _probe_candidates(
 
     A fish whose gate draw falls below the variant's ``p_g`` steps
     step_ind * rand(0, 1) along the direction picked from a forward-difference
-    gradient of the violation (one ``violation_rows`` call of D+1 rows, with
-    steps ``e``) among ``k_directions`` samples; every other fish
-    takes the plain uniform step in [-step_ind, step_ind]. Candidates are
-    clipped into the box.
+    gradient of the violation (steps ``e``) among ``k_directions`` samples;
+    every other fish takes the plain uniform step in [-step_ind, step_ind].
+    Candidates are clipped into the box.
+
+    The random numbers are drawn fish by fish, in index order, as if each
+    fish were handled alone: one uniform block per run of plain fish, and
+    the normal samples then the step fraction of each probing fish. No draw
+    depends on a score, so the D+1 rows of all p probing fish are scored
+    afterwards in one ``violation_rows`` call of p * (D+1) rows.
     """
     n, d = positions.shape
-    gate = rng.random(n)
+    k = variant.k_directions
+    probing = np.flatnonzero(rng.random(n) < variant.p_g)
     candidates = np.empty_like(positions)
-    for i in range(n):
-        x = positions[i]
-        if gate[i] < variant.p_g:
-            grad = forward_gradient(violation_rows, x, e)
-            u = pick_direction(grad, variant.k_directions, phase, rng)
-            candidates[i] = x + step_ind * rng.random() * u
-        else:
-            candidates[i] = x + rng.uniform(-1.0, 1.0, d) * step_ind
+    normals = np.empty((probing.size, k, d))
+    fractions = np.empty(probing.size)
+    start = 0  # first fish of the current run of plain fish; an empty run draws nothing
+    for j, i in enumerate(probing):
+        steps = rng.uniform(-1.0, 1.0, (i - start, d))
+        candidates[start:i] = positions[start:i] + steps * step_ind
+        normals[j] = rng.normal(size=(k, d))
+        fractions[j] = rng.random()
+        start = i + 1
+    steps = rng.uniform(-1.0, 1.0, (n - start, d))
+    candidates[start:] = positions[start:] + steps * step_ind
+    if probing.size:
+        x = positions[probing]
+        u = pick_direction(forward_gradient(violation_rows, x, e), normals, phase)
+        candidates[probing] = x + step_ind * fractions[:, None] * u
     return np.clip(candidates, lower, upper, out=candidates)
 
 
@@ -271,10 +284,12 @@ def run(
     error = ""
 
     def probe_violation(rows: np.ndarray) -> np.ndarray:
+        # Probe rows score only the constraints; each probe still counts as
+        # D+1 evaluations.
         nonlocal eval_count, probe_count
-        violation = evaluate_many(problem, rows)[1]
-        eval_count += d + 1
-        probe_count += 1
+        violation = violation_many(problem, rows)
+        eval_count += len(rows)
+        probe_count += len(rows) // (d + 1)
         return violation
 
     def merge_best() -> None:

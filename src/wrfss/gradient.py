@@ -1,11 +1,12 @@
 """Finite-difference directional probe for the individual movement.
 
 The probe estimates a forward-difference gradient of the violation measure
-from one batch of D+1 evaluations, samples K random unit directions, and
-picks the direction with the lowest directional derivative (lowest absolute
-derivative when the school is already exploiting a feasible region, to avoid
-stepping off it). The engine gates the probe per fish and builds the
-candidates from these two functions.
+at each of p points from one batch of p * (D+1) evaluations, and for each
+point picks, among K sampled unit directions, the one with the lowest
+directional derivative (lowest absolute derivative when the school is
+already exploiting a feasible region, to avoid stepping off it). The engine
+gates the probe per fish, draws every random number, and then builds the
+candidates of all probing fish at once from these two functions.
 """
 
 from __future__ import annotations
@@ -20,31 +21,40 @@ __all__ = ["forward_gradient", "pick_direction"]
 def forward_gradient(
     fn_rows: Callable[[np.ndarray], np.ndarray], x: np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """Forward-difference gradient estimate from one batch of D+1 rows.
+    """Forward-difference gradient estimates at p points from one batch call.
 
-    ``fn_rows`` maps a (D+1, D) array to D+1 values. Row 0 is ``x`` and row
-    j+1 is ``x`` with x_j += e_j, so component j is
-    (fn(x + e_j) - fn(x)) / e_j. ``e`` is a per-dimension array.
+    ``x`` is a (p, D) array and ``e`` a per-dimension array of steps.
+    ``fn_rows`` maps a (p * (D+1), D) array to its p * (D+1) values: point i
+    owns rows i * (D+1) to i * (D+1) + D, the first being x_i and the next D
+    being x_i with x_ij += e_j. Row i of the result holds
+    (fn(x_i + e_j) - fn(x_i)) / e_j.
     """
-    values = fn_rows(np.concatenate([x[None, :], x[None, :] + np.diag(e)]))
-    return (values[1:] - values[0]) / e
+    p, d = x.shape
+    rows = np.concatenate([x[:, None, :], x[:, None, :] + np.diag(e)], axis=1)
+    values = fn_rows(rows.reshape(p * (d + 1), d)).reshape(p, d + 1)
+    return (values[:, 1:] - values[:, :1]) / e
 
 
-def pick_direction(
-    gradient: np.ndarray, k: int, phase: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample k uniform unit directions and return the preferred one.
+def pick_direction(gradient: np.ndarray, normals: np.ndarray, phase: int) -> np.ndarray:
+    """For each of p gradients, the preferred one of its K sampled directions.
 
-    Phase 1 picks the direction with the smallest signed derivative (steepest
-    sampled descent); phase 2 the smallest absolute derivative. With a zero
-    gradient every derivative ties and the first sample wins.
+    ``gradient`` is (p, D) and ``normals`` (p, K, D) standard normal samples,
+    which are normalized to uniform unit directions. Phase 1 picks the
+    direction with the smallest signed derivative (steepest sampled descent);
+    phase 2 the smallest absolute derivative. With a zero gradient every
+    derivative ties and the first sample wins. Returns a (p, D) array.
     """
+    p, k, _ = normals.shape
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    u = rng.normal(size=(k, gradient.shape[0]))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    derivs = u @ gradient
-    idx = int(np.argmin(derivs)) if phase == 1 else int(np.argmin(np.abs(derivs)))
-    return u[idx]
+    u = normals / np.sqrt((normals * normals).sum(axis=-1, keepdims=True))
+    # One matrix-vector product per probe: a stacked product may run another
+    # BLAS kernel, which rounds differently.
+    derivs = np.empty((p, k))
+    for i in range(p):
+        derivs[i] = u[i] @ gradient[i]
+    if phase == 2:
+        derivs = np.abs(derivs)
+    return u[np.arange(p), np.argmin(derivs, axis=1)]

@@ -19,3 +19,30 @@ def is_forest(leader) -> bool:
             seen.add(node)
             node = int(leader[node])
     return True
+
+
+def probe_candidates(violation_rows, positions, phase, step_ind, variant, e, rng, lower, upper):
+    """Per-fish reference of ``engine._probe_candidates``.
+
+    Fish by fish: a gated fish scores its own D+1 forward-difference rows,
+    draws and normalizes ``k_directions`` normal samples, picks the one with
+    the smallest (phase 1) or smallest absolute (phase 2) directional
+    derivative, and steps step_ind * rand(0, 1) along it; every other fish
+    takes the plain uniform step. Candidates are clipped into the box.
+    """
+    n, d = positions.shape
+    gate = rng.random(n)
+    candidates = np.empty_like(positions)
+    for i in range(n):
+        x = positions[i]
+        if gate[i] < variant.p_g:
+            values = violation_rows(np.concatenate([x[None, :], x[None, :] + np.diag(e)]))
+            grad = (values[1:] - values[0]) / e
+            u = rng.normal(size=(variant.k_directions, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            derivs = u @ grad
+            idx = int(np.argmin(derivs)) if phase == 1 else int(np.argmin(np.abs(derivs)))
+            candidates[i] = x + step_ind * rng.random() * u[idx]
+        else:
+            candidates[i] = x + rng.uniform(-1.0, 1.0, d) * step_ind
+    return np.clip(candidates, lower, upper, out=candidates)

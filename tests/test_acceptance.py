@@ -194,8 +194,8 @@ def test_criterion_08_gradient_checks():
         a = rng.normal(size=d) * rng.uniform(0.5, 5.0)
         b = float(rng.normal())
         x = rng.uniform(-3.0, 3.0, d)
-        grad = forward_gradient(lambda P: P @ a + b, x, np.full(d, 1e-3))
-        assert np.allclose(grad, a, rtol=1e-7, atol=1e-7)
+        grad = forward_gradient(lambda P: P @ a + b, x[None, :], np.full(d, 1e-3))
+        assert np.allclose(grad[0], a, rtol=1e-7, atol=1e-7)
 
     d = 5
     diag = rng.uniform(0.5, 2.0, d)
@@ -204,7 +204,7 @@ def test_criterion_08_gradient_checks():
     exact = diag * x
     errors = []
     for e in (1e-2, 1e-4, 1e-6):
-        errors.append(np.abs(forward_gradient(quad, x, np.full(d, e)) - exact).max())
+        errors.append(np.abs(forward_gradient(quad, x[None, :], np.full(d, e))[0] - exact).max())
     for worse, better in zip(errors, errors[1:]):
         ratio = worse / better
         assert 50.0 <= ratio <= 200.0, f"error ratio {ratio} not within 2x of 100"

@@ -221,6 +221,23 @@ class TestViolationMany:
             parts = [violation_many(problem, pts[i:i + block]) for i in range(0, 3000, block)]
             assert np.array_equal(np.concatenate(parts), whole), block
 
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_probe_batch_equals_its_probe_slices(self, pid, p):
+        # The engine scores the forward-difference rows [x, x + diag(e)] of
+        # all p probing fish in one call; each probe's D+1 rows must get the
+        # bits they get alone. A probe batch never has fewer than D+1 rows.
+        problem = load_problem(pid).problem
+        rng = np.random.default_rng([p, PROBLEM_IDS.index(pid)])
+        e = 1e-6 * problem.range_width
+        rows_per_probe = DIMENSION + 1
+        for _ in range(25):
+            x = problem.lower + rng.random((p, 1, DIMENSION)) * problem.range_width
+            rows = np.concatenate([x, x + np.diag(e)], axis=1).reshape(-1, DIMENSION)
+            parts = [violation_many(problem, rows[i:i + rows_per_probe])
+                     for i in range(0, len(rows), rows_per_probe)]
+            assert np.array_equal(np.concatenate(parts), violation_many(problem, rows))
+
 
 class TestDataFiles:
     def test_round_trip_through_files(self, tmp_path):

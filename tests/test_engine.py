@@ -284,27 +284,47 @@ class TestRun:
         assert rec.eval_count == 6 * 5
 
     def test_aborted_gradient_run_counts_completed_calls(self):
-        # every fish probes; the third probe of the second iteration fails,
-        # and the counts cover exactly the calls that returned before it
+        # every fish probes, so each iteration scores one probe batch of
+        # n * (D+1) rows; a non-finite constraint in the second batch aborts
+        # the run, and the counts cover exactly the calls that returned before it
         d, n = 3, 6
-        done = {"rows": 0, "probes": 0}
+        done = {"rows": 0, "batches": 0}
 
-        def objective(x):
-            if x.shape[0] == d + 1 and done["probes"] == n + 2:
-                return np.full(x.shape[0], np.nan)
+        def inequality(x):
+            if x.shape[0] == n * (d + 1):
+                if done["batches"] == 1:
+                    return np.full(x.shape[0], np.nan)
+                done["batches"] += 1
             done["rows"] += x.shape[0]
-            done["probes"] += x.shape[0] == d + 1
-            return (x**2).sum(axis=-1)
+            return x[:, 0] - 1.0
 
         problem = Problem(
             dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
-            objective=objective, inequalities=(lambda x: x[:, 0] - 1.0,),
+            objective=lambda x: (x**2).sum(axis=-1), inequalities=(inequality,),
         )
         variant = Variant("gradient", k_directions=4, p_g=1.0)
         rec = run(problem, variant, EngineParams(n_fish=n, iterations=50), seed=5)
         assert rec.aborted
-        assert rec.probe_count == n + 2
+        assert "inequality[0]" in rec.error
+        assert list(rec.trace_iteration) == [0, 1]
+        assert rec.probe_count == n
         assert rec.eval_count == done["rows"]
+
+    def test_probe_rows_do_not_score_the_objective(self):
+        # the objective is non-finite everywhere but at the school's own
+        # n-row batches: the probe scores only the constraints, so the run
+        # completes, and the evaluation count formula still holds
+        d, n, t = 3, 6, 20
+        problem = Problem(
+            dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
+            objective=lambda x: (x**2).sum(axis=-1) if len(x) == n else np.full(len(x), np.nan),
+            inequalities=(lambda x: x[:, 0] - 1.0,),
+        )
+        variant = Variant("gradient", k_directions=4, p_g=1.0)
+        rec = run(problem, variant, EngineParams(n_fish=n, iterations=t), seed=5)
+        assert not rec.aborted, rec.error
+        assert rec.probe_count == n * t
+        assert rec.eval_count == n * (1 + 2 * t) + (d + 1) * rec.probe_count
 
     def test_observer_sees_every_iteration(self):
         seen = []

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from wrfss.cec2010 import load_problem
 from wrfss.engine import EngineParams, Variant, _probe_candidates, run
 from wrfss.gradient import forward_gradient, pick_direction
-from wrfss.problem import Problem, evaluate_many
+from wrfss.problem import Problem, evaluate_many, violation_many
 from wrfss.school import accept
+
+from oracles import probe_candidates
 
 
 def box(d, lo=-100.0, hi=100.0, **kw):
@@ -16,19 +19,23 @@ def rows_of(fn):
     return lambda pts: np.array([fn(p) for p in pts])
 
 
+def gradient_at(fn_rows, x, e):
+    """forward_gradient at the single point ``x``."""
+    return forward_gradient(fn_rows, np.asarray(x, float)[None, :], e)[0]
+
+
 class TestForwardGradient:
     def test_linear_function_exact(self):
-        grad = forward_gradient(lambda P: P @ [2.0, 3.0], np.array([5.0, -7.0]), np.full(2, 1e-3))
+        grad = gradient_at(lambda P: P @ [2.0, 3.0], [5.0, -7.0], np.full(2, 1e-3))
         assert grad == pytest.approx([2.0, 3.0], rel=1e-9)
 
     def test_quadratic_truncation_by_hand(self):
         # ((1+e)^2 - 1) / e = 2 + e
-        grad = forward_gradient(lambda P: P[:, 0] ** 2, np.array([1.0]), np.array([1e-3]))
+        grad = gradient_at(lambda P: P[:, 0] ** 2, [1.0], np.array([1e-3]))
         assert grad[0] == pytest.approx(2.001, rel=1e-9)
 
     def test_constant_function_zero(self):
-        grad = forward_gradient(lambda P: np.full(len(P), 4.2), np.array([1.0, 2.0, 3.0]),
-                                np.full(3, 1e-4))
+        grad = gradient_at(lambda P: np.full(len(P), 4.2), [1.0, 2.0, 3.0], np.full(3, 1e-4))
         assert np.all(grad == 0.0)
 
     def test_random_affine_exact(self):
@@ -38,7 +45,7 @@ class TestForwardGradient:
             a = rng.normal(size=d)
             b = rng.normal()
             x = rng.uniform(-5, 5, d)
-            grad = forward_gradient(rows_of(lambda p: float(a @ p + b)), x, np.full(d, 1e-3))
+            grad = gradient_at(rows_of(lambda p: float(a @ p + b)), x, np.full(d, 1e-3))
             assert np.allclose(grad, a, rtol=1e-8, atol=1e-8)
 
     def test_cost_is_dimension_plus_one(self):
@@ -48,12 +55,16 @@ class TestForwardGradient:
             calls.append(P.copy())
             return P.sum(axis=1)
 
-        x = np.arange(6.0)
+        x = np.arange(12.0).reshape(2, 6)
         e = np.linspace(1e-3, 6e-3, 6)
-        forward_gradient(fn, x, e)
-        # one batch of D+1 rows: x itself, then x with one coordinate shifted
+        grad = forward_gradient(fn, x, e)
+        # one batch of D+1 rows per point: the point itself, then the point
+        # with one coordinate shifted
         assert len(calls) == 1
-        assert np.array_equal(calls[0], np.vstack([x, x + np.diag(e)]))
+        assert np.array_equal(calls[0], np.vstack([x[0], x[0] + np.diag(e),
+                                                   x[1], x[1] + np.diag(e)]))
+        assert grad.shape == (2, 6)
+        assert np.allclose(grad, 1.0)
 
     def test_error_scales_linearly_with_perturbation(self):
         # on a quadratic the forward-difference error per component is e*A_jj/2
@@ -65,58 +76,46 @@ class TestForwardGradient:
         exact = diag * x
         errors = []
         for e in (1e-2, 1e-4):
-            errors.append(np.abs(forward_gradient(fn, x, np.full(d, e)) - exact).max())
+            errors.append(np.abs(gradient_at(fn, x, np.full(d, e)) - exact).max())
         ratio = errors[0] / errors[1]
         assert ratio == pytest.approx(100.0, rel=0.5)
 
     def test_vector_perturbation(self):
-        grad = forward_gradient(lambda P: P @ [2.0, 3.0], np.zeros(2), np.array([1e-2, 1e-5]))
+        grad = gradient_at(lambda P: P @ [2.0, 3.0], np.zeros(2), np.array([1e-2, 1e-5]))
         assert grad == pytest.approx([2.0, 3.0], rel=1e-8)
 
 
 class TestPickDirection:
-    class TwoDirections:
-        """Feeds exactly the two candidate directions (1,0) and (0,-1)."""
-
-        def normal(self, size=None):
-            return np.array([[1.0, 0.0], [0.0, -1.0]])
+    # the two sampled directions (1,0) and (0,-1), for two probes
+    TWO_DIRECTIONS = np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)
 
     def test_phase1_minimizes_signed_derivative(self):
-        u = pick_direction(np.array([2.0, 3.0]), 2, 1, self.TwoDirections())
-        # derivatives: 2 and -3 -> steepest descent is (0,-1)
-        assert np.allclose(u, [0.0, -1.0])
+        u = pick_direction(np.array([[2.0, 3.0], [-2.0, 3.0]]), self.TWO_DIRECTIONS, 1)
+        # derivatives: 2 and -3 -> steepest descent is (0,-1); then -2 and -3
+        assert np.allclose(u, [[0.0, -1.0], [0.0, -1.0]])
 
     def test_phase2_minimizes_absolute_derivative(self):
-        u = pick_direction(np.array([2.0, 3.0]), 2, 2, self.TwoDirections())
-        # |2| < |-3| -> (1,0)
-        assert np.allclose(u, [1.0, 0.0])
+        u = pick_direction(np.array([[2.0, 3.0], [4.0, 3.0]]), self.TWO_DIRECTIONS * 2.0, 2)
+        # |2| < |-3| -> (1,0); then |4| > |-3| -> (0,-1), both normalized
+        assert np.allclose(u, [[1.0, 0.0], [0.0, -1.0]])
 
     def test_zero_gradient_returns_first_sample(self):
-        rng = np.random.default_rng(3)
-        first = None
-
-        class Recording:
-            def normal(self, size=None):
-                nonlocal first
-                draws = rng.normal(size=size)
-                first = draws[0] / np.linalg.norm(draws[0])
-                return draws
-
-        u = pick_direction(np.zeros(5), 7, 1, Recording())
+        normals = np.random.default_rng(3).normal(size=(3, 7, 5))
+        u = pick_direction(np.zeros((3, 5)), normals, 1)
+        first = normals[:, 0] / np.linalg.norm(normals[:, 0], axis=1, keepdims=True)
         assert np.allclose(u, first)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            u = pick_direction(rng.normal(size=6), 11, 1, rng)
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            u = pick_direction(rng.normal(size=(4, 6)), rng.normal(size=(4, 11, 6)), 1)
+            assert np.linalg.norm(u, axis=1) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_validation(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            pick_direction(np.ones(2), 0, 1, rng)
+            pick_direction(np.ones((1, 2)), np.ones((1, 0, 2)), 1)
         with pytest.raises(ValueError):
-            pick_direction(np.ones(2), 3, 7, rng)
+            pick_direction(np.ones((1, 2)), np.ones((1, 3, 2)), 7)
 
 
 class TestProbeMove:
@@ -180,7 +179,7 @@ class TestProbeMove:
         fitness, violation = evaluate_many(problem, start)
         variant = Variant("gradient", k_directions=4, p_g=1.0)
         cand, calls = self.candidates(problem, start, 1, 0.5, variant, np.random.default_rng(5))
-        assert calls == [3, 3]
+        assert calls == [6]  # both probes of D+1 rows in one call
         cand_f, cand_v = evaluate_many(problem, cand)
         positions, _, _, delta_x, delta_f = accept(
             cand_v < violation, cand, cand_f, cand_v, violation - cand_v,
@@ -204,16 +203,19 @@ class TestProbeMove:
             Variant("gradient", k_directions=5, p_g=0.5, perturbation=0.0)
 
     def test_default_perturbation_scales_with_range(self):
-        # the forward-difference step run() uses, read off the probe rows
+        # the forward-difference step run() uses, read off the probe rows:
+        # with p_g = 1 every fish probes, so each probe batch has 4 * (D+1) rows
         steps = []
 
-        def objective(x):
-            if x.shape[0] == 3:
-                steps.append(np.diag(x[1:] - x[0]))
+        def inequality(x):
+            if x.shape[0] == 4 * 3:
+                probes = x.reshape(4, 3, 2)
+                steps.extend(np.diagonal(probes[:, 1:] - probes[:, :1], axis1=1, axis2=2))
             return np.zeros(x.shape[0])
 
         lower, upper = np.array([0.0, -50.0]), np.array([10.0, 50.0])
-        problem = Problem(dimension=2, lower=lower, upper=upper, objective=objective)
+        problem = Problem(dimension=2, lower=lower, upper=upper,
+                          objective=lambda x: np.zeros(x.shape[0]), inequalities=(inequality,))
         params = EngineParams(n_fish=4, iterations=2)
         run(problem, Variant("gradient", k_directions=5, p_g=1.0), params, seed=3)
         assert len(steps) == 8
@@ -223,3 +225,26 @@ class TestProbeMove:
         run(problem, fixed, params, seed=3)
         assert len(steps) == 8
         assert np.allclose(steps, 1e-3)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("p_g", [0.0, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("pid", ["C01", "C06", "C07", "C08"])
+def test_batched_probe_matches_per_fish_reference(pid, p_g, phase):
+    # The batched candidates equal the per-fish reference bit for bit, and
+    # both leave the generator in the same state.
+    problem = load_problem(pid, source="surrogate").problem
+    variant = Variant("gradient", k_directions=50, p_g=p_g)
+    e = 1e-6 * problem.range_width
+    violation_rows = lambda rows: violation_many(problem, rows)
+    for seed in range(4):
+        rng = np.random.default_rng([seed, int(p_g * 10), phase])
+        positions = problem.lower + rng.random((30, problem.dimension)) * problem.range_width
+        step_ind = rng.uniform(0.0, 0.2) * problem.range_width
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        batched = _probe_candidates(violation_rows, positions, phase, step_ind, variant, e, ours,
+                                    problem.lower, problem.upper)
+        expected = probe_candidates(violation_rows, positions, phase, step_ind, variant, e, ref,
+                                    problem.lower, problem.upper)
+        assert np.array_equal(batched, expected)
+        assert ours.bit_generator.state == ref.bit_generator.state
