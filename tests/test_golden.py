@@ -2,6 +2,9 @@
 
 Two more pin the gradient variant where its probe does most: C07 (sigma 0.5,
 so the phase flips between 1 and 2) and C06 (rotated constraints, k = 50).
+``SWITCHING`` pins C08 x wrfss and C07 x wrfsse with sigma 0.5, where the
+phase changes 83 and 39 times in 200 iterations: every change rebuilds the
+individual-movement candidates with the new phase and step.
 
 Each digest covers the trace CSV bytes as the reports write them, plus the
 ``repr`` of the record's best fitness, best violation, best position (as a
@@ -33,11 +36,16 @@ GOLDEN = {
     ("C06", "wrfssg"): "d01da06ccdbd29eb2aecda7bf8ef388e58b7ac3e68da906a187c75ba98e3e1b6",
 }
 
+SWITCHING = {
+    ("C08", "wrfss"): "96805ad6d662f5d479da1d6f6fc3409f7234ae6a9400ea2b80bef4cbc09e380e",
+    ("C07", "wrfsse"): "dd6517616c67c7207d0b3892caef5a4681c49a30a90812dbdc7c03a20775fd1d",
+}
 
-def run_digest(problem_id, variant, tmp_path):
+
+def run_digest(problem_id, variant, tmp_path, **overrides):
     config = dataclasses.replace(
         paper_preset(problem_id, variant, desk=True),
-        data_source="surrogate", n_fish=10, iterations=200,
+        data_source="surrogate", n_fish=10, iterations=200, **overrides,
     )
     record = run_single(config, seed=1000)
     trace = tmp_path / "trace.csv"
@@ -52,3 +60,8 @@ def run_digest(problem_id, variant, tmp_path):
 @pytest.mark.parametrize("problem_id,variant", list(GOLDEN))
 def test_golden_run(problem_id, variant, tmp_path):
     assert run_digest(problem_id, variant, tmp_path) == GOLDEN[problem_id, variant]
+
+
+@pytest.mark.parametrize("problem_id,variant", list(SWITCHING))
+def test_golden_run_with_phase_switches(problem_id, variant, tmp_path):
+    assert run_digest(problem_id, variant, tmp_path, sigma=0.5) == SWITCHING[problem_id, variant]
