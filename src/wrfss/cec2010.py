@@ -103,6 +103,18 @@ def _mean(v):
     return v.sum(axis=-1) / v.shape[-1]
 
 
+def _rotate(z, m):
+    """``z @ m`` for a batch of rows; each row gets the bits of a many-row product.
+
+    numpy multiplies a single row by the matrix through another BLAS kernel,
+    which rounds differently, so a one-row batch is padded to two rows and the
+    first row is kept.
+    """
+    if z.shape[0] == 1:
+        return (np.concatenate([z, z]) @ m)[:1]
+    return z @ m
+
+
 def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
                    delta: float, exponent: float) -> Problem:
     o = np.asarray(shift, dtype=float)
@@ -146,7 +158,7 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         )
     elif pid == "C06":
         def rotated(x):
-            return (x - o + _ROTATION_OFFSET) @ m - _ROTATION_OFFSET
+            return _rotate(x - o + _ROTATION_OFFSET, m) - _ROTATION_OFFSET
 
         def h_sin(x):
             y = rotated(x)
@@ -163,7 +175,7 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         if pid == "C07":
             transform = lambda x: x - o
         else:
-            transform = lambda x: (x - o) @ m
+            transform = lambda x: _rotate(x - o, m)
 
         def constraint(x):
             y = transform(x)

@@ -27,9 +27,8 @@ def best_index(fitness: np.ndarray, violation: np.ndarray) -> int:
     """Index of the feasibility-rules best entry of a population."""
     feasible = violation == 0.0
     if feasible.any():
-        idx = np.flatnonzero(feasible)
-        return int(idx[np.argmin(fitness[idx])])
-    return int(np.argmin(violation))
+        return int(np.where(feasible, fitness, np.inf).argmin())
+    return int(violation.argmin())
 
 
 def epsilon_less_arrays(

@@ -1,12 +1,13 @@
 """Two-phase constrained search engine and its variant assembly.
 
-Each iteration re-evaluates the school, decides the active phase from the
-feasible proportion (phase 1 minimizes the violation measure, phase 2 the
-fitness), runs the individual movement under the variant's acceptance rule,
-feeds weights by normalizing the active objective against its running
-extremes, then applies the leader-aware instinctive and volitive movements
-around the link structure. Step sizes get a one-off boost at every phase 1
-to phase 2 transition.
+Each iteration draws the random numbers of the individual movement, scores
+the school together with its candidates in one batch, decides the active
+phase from the feasible proportion (phase 1 minimizes the violation measure,
+phase 2 the fitness), accepts candidates under the variant's rule, feeds
+weights by normalizing the active objective against its running extremes,
+then applies the leader-aware instinctive and volitive movements around the
+link structure. Step sizes get a one-off boost at every phase 1 to phase 2
+transition.
 
 Variants share one code path so that degenerate parameter choices reproduce
 the base behavior exactly (same random stream, same decisions): the epsilon
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class EngineParams:
 
 def decide_phase(violations: np.ndarray, sigma: float) -> int:
     """Phase 2 when the feasible proportion reaches ``sigma``, else phase 1."""
-    feasible_fraction = float((np.asarray(violations) == 0.0).mean())
+    violations = np.asarray(violations)
+    feasible_fraction = np.count_nonzero(violations == 0.0) / violations.size
     return 2 if feasible_fraction >= sigma else 1
 
 
@@ -157,6 +159,13 @@ class RunRecord:
     ``trace_feasible_count`` counts the feasible fish of the school as scored
     right after the individual movement, before the collective movements
     shift it; the next iteration's phase decision sees the re-scored school.
+
+    ``eval_count`` is n_fish * (1 + 2 * iterations) plus D+1 per gradient
+    probe; a batch re-scored after a phase change is not counted again. An
+    aborted run's record covers exactly the batches it used before the
+    failing call: the trace rows and best of the completed iterations, and
+    the evaluations and probes of the calls that returned. A failing batch of
+    school and candidates drops its school rows too.
     """
 
     seed: int
@@ -192,51 +201,77 @@ def _active_objective(
     return fitness
 
 
-def _probe_candidates(
-    violation_rows: Callable[[np.ndarray], np.ndarray],
-    positions: np.ndarray,
-    phase: int,
-    step_ind: np.ndarray,
-    variant: Variant,
-    e: np.ndarray,
+class _Moves(NamedTuple):
+    """The random numbers of one individual movement, and its probe gradients.
+
+    ``offsets`` holds the uniform [-1, 1) step of each plain fish (a zero row
+    for a probing fish). For the p probing fish, ``probing`` holds their
+    indices, ``gradient`` (p, D) their violation gradients, ``normals`` (p, K,
+    D) their direction samples and ``fractions`` (p,) their step fractions.
+    """
+
+    offsets: np.ndarray
+    probing: np.ndarray = np.empty(0, dtype=np.intp)
+    gradient: np.ndarray | None = None
+    normals: np.ndarray | None = None
+    fractions: np.ndarray | None = None
+
+
+def _probe_moves(
     rng: np.random.Generator,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
-    """Individual-movement candidates with the probability-gated probe.
+    positions: np.ndarray,
+    variant: Variant,
+    violation_rows: Callable[[np.ndarray], np.ndarray],
+    e: np.ndarray,
+) -> _Moves:
+    """The draws of the probability-gated probe, and the probes' gradients.
 
-    A fish whose gate draw falls below the variant's ``p_g`` steps
-    step_ind * rand(0, 1) along the direction picked from a forward-difference
-    gradient of the violation (steps ``e``) among ``k_directions`` samples;
-    every other fish takes the plain uniform step in [-step_ind, step_ind].
-    Candidates are clipped into the box.
-
-    The random numbers are drawn fish by fish, in index order, as if each
-    fish were handled alone: one uniform block per run of plain fish, and
-    the normal samples then the step fraction of each probing fish. No draw
-    depends on a score, so the D+1 rows of all p probing fish are scored
+    A fish whose gate draw falls below the variant's ``p_g`` probes; every
+    other fish takes the plain uniform step. The random numbers are drawn fish
+    by fish, in index order, as if each fish were handled alone: one uniform
+    block per run of plain fish, and the ``k_directions`` normal samples then
+    the step fraction of each probing fish. No draw depends on a score, so the
+    D+1 forward-difference rows (steps ``e``) of all p probing fish are scored
     afterwards in one ``violation_rows`` call of p * (D+1) rows.
     """
     n, d = positions.shape
-    k = variant.k_directions
     probing = np.flatnonzero(rng.random(n) < variant.p_g)
-    candidates = np.empty_like(positions)
-    normals = np.empty((probing.size, k, d))
+    offsets = np.zeros((n, d))
+    normals = np.empty((probing.size, variant.k_directions, d))
     fractions = np.empty(probing.size)
     start = 0  # first fish of the current run of plain fish; an empty run draws nothing
     for j, i in enumerate(probing):
-        steps = rng.uniform(-1.0, 1.0, (i - start, d))
-        candidates[start:i] = positions[start:i] + steps * step_ind
-        normals[j] = rng.normal(size=(k, d))
+        offsets[start:i] = rng.uniform(-1.0, 1.0, (i - start, d))
+        rng.standard_normal(out=normals[j])
         fractions[j] = rng.random()
         start = i + 1
-    steps = rng.uniform(-1.0, 1.0, (n - start, d))
-    candidates[start:] = positions[start:] + steps * step_ind
-    if probing.size:
-        x = positions[probing]
-        u = pick_direction(forward_gradient(violation_rows, x, e), normals, phase)
-        candidates[probing] = x + step_ind * fractions[:, None] * u
-    return np.clip(candidates, lower, upper, out=candidates)
+    offsets[start:] = rng.uniform(-1.0, 1.0, (n - start, d))
+    gradient = forward_gradient(violation_rows, positions[probing], e) if probing.size else None
+    return _Moves(offsets, probing, gradient, normals, fractions)
+
+
+def _candidates(
+    positions: np.ndarray,
+    moves: _Moves,
+    phase: int,
+    step_ind: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Individual-movement candidates, written into ``out`` and clipped into the box.
+
+    A plain fish steps ``offsets * step_ind``. A probing fish steps
+    step_ind * fraction along the direction its gradient picks among its
+    normal samples (steepest descent in phase 1, flattest in phase 2).
+    """
+    np.multiply(moves.offsets, step_ind, out=out)
+    out += positions
+    if moves.probing.size:
+        u = pick_direction(moves.gradient, moves.normals, phase)
+        out[moves.probing] = positions[moves.probing] + step_ind * moves.fractions[:, None] * u
+    np.maximum(out, lower, out=out)
+    return np.minimum(out, upper, out=out)
 
 
 def run(
@@ -323,39 +358,47 @@ def run(
             eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
 
         trace.append((0, best_f, best_v, decide_phase(violation, params.sigma),
-                      int((violation == 0.0).sum())))
+                      np.count_nonzero(violation == 0.0)))
 
         for t in range(params.iterations):
-            # Start-of-iteration evaluation of the current positions (the
-            # collective movements of the previous iteration are unscored
-            # until here).
-            fitness, violation = evaluate_many(problem, positions)
-            eval_count += n
+            # Individual movement: first every random number it draws, and the
+            # gradient probes, which need no score of the school; then the
+            # candidates for the previous iteration's phase and un-boosted step.
+            if use_probe:
+                moves = _probe_moves(rng, positions, variant, probe_violation, e_vec)
+            else:
+                moves = _Moves(rng.uniform(-1.0, 1.0, (n, d)))
+            step_ind_frac, step_vol_frac = schedule.at(t)
+            batch = np.empty((2 * n, d))
+            batch[:n] = positions
+            candidates = _candidates(
+                positions, moves, phase, step_ind_frac * width, lower, upper, batch[n:]
+            )
+            # One call scores the school, unscored since the collective
+            # movements of the previous iteration, and the candidates.
+            batch_fitness, batch_violation = evaluate_many(problem, batch)
+            eval_count += 2 * n
+            fitness, violation = batch_fitness[:n], batch_violation[:n]
             merge_best()
 
             new_phase = decide_phase(violation, params.sigma)
-            if new_phase == 2 and phase == 1:
-                schedule.boost(params.tau, t)
-            phase = new_phase
-            step_ind_frac, step_vol_frac = schedule.at(t)
-            step_ind = step_ind_frac * width
+            if new_phase != phase:
+                # Rebuild the candidates from the same draws for the new phase
+                # (and step, boosted on a switch to phase 2), and re-score the
+                # batch so they keep the rounding of a 2n-row call.
+                if new_phase == 2:
+                    schedule.boost(params.tau, t)
+                phase = new_phase
+                step_ind_frac, step_vol_frac = schedule.at(t)
+                _candidates(
+                    positions, moves, phase, step_ind_frac * width, lower, upper, candidates
+                )
+                batch_fitness, batch_violation = evaluate_many(problem, batch)
+            cand_fitness, cand_violation = batch_fitness[n:], batch_violation[n:]
             step_vol = step_vol_frac * width
             alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)
             eps = eps_schedule.value_at(t) if eps_schedule is not None else 0.0
             active = _active_objective(fitness, violation, phase, variant)
-
-            # Individual movement: candidates, then acceptance.
-            if use_probe:
-                candidates = _probe_candidates(
-                    probe_violation, positions, phase, step_ind, variant, e_vec, rng,
-                    lower, upper,
-                )
-            else:
-                offsets = rng.uniform(-1.0, 1.0, (n, d))
-                candidates = np.clip(positions + offsets * step_ind, lower, upper)
-
-            cand_fitness, cand_violation = evaluate_many(problem, candidates)
-            eval_count += n
 
             cand_active = _active_objective(cand_fitness, cand_violation, phase, variant)
             if variant.kind == "epsilon":
@@ -388,7 +431,7 @@ def run(
                 rng.random((n, d)), lower, upper,
             )
 
-            trace.append((t + 1, best_f, best_v, phase, int((violation == 0.0).sum())))
+            trace.append((t + 1, best_f, best_v, phase, np.count_nonzero(violation == 0.0)))
             if observer is not None:
                 views = [a.view() for a in (positions, weights, fitness, violation, links.leader)]
                 for view in views:

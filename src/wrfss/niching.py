@@ -109,16 +109,19 @@ def leader_instinctive_step(
     """
     if rho < 0.0 or rho > 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    has_leader = links.leader >= 0
+    followers = np.flatnonzero(links.leader >= 0)
     num = delta_x * delta_f[:, None]
     den = delta_f.copy()
-    if has_leader.any():
-        li = links.leader[has_leader]
-        num[has_leader] += delta_x[li] * delta_f[li, None]
-        den[has_leader] += delta_f[li]
+    if followers.size:
+        li = links.leader[followers]
+        num[followers] += delta_x[li] * delta_f[li, None]
+        den[followers] += delta_f[li]
     drift = np.zeros_like(positions)
     np.divide(num, den[:, None], out=drift, where=den[:, None] != 0.0)
-    return np.clip(positions + rho * drift, lower, upper)
+    drift *= rho
+    drift += positions
+    np.maximum(drift, lower, out=drift)
+    return np.minimum(drift, upper, out=drift)
 
 
 def leader_volitive_step(
@@ -147,15 +150,16 @@ def leader_volitive_step(
     li = links.leader[followers]
     wf = weights[followers]
     wl = weights[li]
-    pair_b = (positions[followers] * wf[:, None] + positions[li] * wl[:, None]) / (
-        wf + wl
-    )[:, None]
-    diff = positions[followers] - pair_b
-    dist = np.linalg.norm(diff, axis=1)
+    at = positions[followers]
+    pair_b = (at * wf[:, None] + positions[li] * wl[:, None]) / (wf + wl)[:, None]
+    diff = at - pair_b
+    dist = np.sqrt((diff * diff).sum(axis=1))  # what np.linalg.norm computes for real rows
     moving = dist > 0.0
-    if moving.any():
-        tgt = followers[moving]
+    if not moving.all():
+        followers, at, diff, dist = followers[moving], at[moving], diff[moving], dist[moving]
+    if followers.size:
         sign = -1.0 if weight_increased else 1.0
-        step = sign * step_vol * draws[tgt] * diff[moving] / dist[moving, None]
-        out[tgt] = np.clip(positions[tgt] + step, lower, upper)
+        moved = at + sign * step_vol * draws[followers] * diff / dist[:, None]
+        np.maximum(moved, lower, out=moved)
+        out[followers] = np.minimum(moved, upper, out=moved)
     return out

@@ -22,7 +22,7 @@ def is_forest(leader) -> bool:
 
 
 def probe_candidates(violation_rows, positions, phase, step_ind, variant, e, rng, lower, upper):
-    """Per-fish reference of ``engine._probe_candidates``.
+    """Per-fish reference of the engine's probe-gated candidates.
 
     Fish by fish: a gated fish scores its own D+1 forward-difference rows,
     draws and normalizes ``k_directions`` normal samples, picks the one with

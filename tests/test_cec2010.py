@@ -210,16 +210,31 @@ class TestViolationMany:
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_row_value_does_not_depend_on_its_block(self, pid):
         # The constraints are elementwise and row-wise, plus the rotation
-        # product of C06 and C08, so every split gives the same bits. A
-        # one-row block is left out: numpy multiplies a single row by the
-        # matrix through another BLAS kernel, which may round differently.
+        # product of C06 and C08, so every split gives the same bits. numpy
+        # multiplies a single row by the matrix through another BLAS kernel,
+        # which rounds differently, so the rotation pads a one-row block to two.
         problem = load_problem(pid).problem
         rng = np.random.default_rng(PROBLEM_IDS.index(pid))
         pts = problem.lower + rng.random((3000, DIMENSION)) * problem.range_width
         whole = violation_many(problem, pts)
-        for block in (2, 7, 1024, 2048):
+        for block in (1, 2, 7, 1024, 2048):
             parts = [violation_many(problem, pts[i:i + block]) for i in range(0, 3000, block)]
             assert np.array_equal(np.concatenate(parts), whole), block
+
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 30])
+    def test_school_and_candidates_batch_equals_its_halves(self, pid, n):
+        # The engine scores the school and its candidates in one 2n-row call;
+        # each half must get the bits it gets alone.
+        problem = load_problem(pid).problem
+        rng = np.random.default_rng([n, PROBLEM_IDS.index(pid)])
+        for _ in range(25):
+            pts = problem.lower + rng.random((2 * n, DIMENSION)) * problem.range_width
+            fitness, violation = evaluate_many(problem, pts)
+            for half in (slice(0, n), slice(n, 2 * n)):
+                alone = evaluate_many(problem, pts[half])
+                assert np.array_equal(alone[0], fitness[half])
+                assert np.array_equal(alone[1], violation[half])
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -265,9 +265,12 @@ class TestRun:
         calls = {"n": 0}
 
         def objective(x):
-            # the seventh batch is the candidates of the third iteration
+            # One call per iteration scores the school and its candidates.
+            # The school is feasible from the start, so iteration 0 switches
+            # to phase 2 and re-scores its rebuilt batch: calls 2 and 3. The
+            # fifth call is the batch of the third iteration.
             calls["n"] += 1
-            if calls["n"] > 6:
+            if calls["n"] > 4:
                 return np.full(x.shape[0], np.nan)
             return (x**2).sum(axis=-1)
 
@@ -281,12 +284,46 @@ class TestRun:
         assert rec.aborted
         assert "objective" in rec.error
         assert list(rec.trace_iteration) == [0, 1, 2]
-        assert rec.eval_count == 6 * 5
+        # the initial school, then 2n rows per completed iteration; the
+        # re-scored batch of iteration 0 is not counted twice
+        assert rec.eval_count == 5 * (1 + 2 * 2)
+
+    def test_abort_on_candidate_half_drops_the_whole_batch(self):
+        # Only the candidate rows of the third iteration's batch are
+        # non-finite. The call raises, so its finite school rows are not
+        # merged into the best either: the record ends as trace row 2 left it.
+        n, batches = 5, []
+
+        def objective(x):
+            batches.append(x.copy())
+            values = (x**2).sum(axis=-1)
+            if len(batches) == 4:
+                values[n:] = np.nan
+            return values
+
+        # never feasible (g = x0 + 2 > 0), so the phase stays 1 and each
+        # iteration makes exactly one call
+        bad = Problem(
+            dimension=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0), objective=objective,
+            inequalities=(lambda x: x[:, 0] + 2.0,),
+        )
+        rec = run(bad, Variant("base"), EngineParams(n_fish=n, iterations=50), seed=5)
+        assert rec.aborted
+        assert "objective" in rec.error
+        assert [len(b) for b in batches] == [n, 2 * n, 2 * n, 2 * n]
+        assert list(rec.trace_iteration) == [0, 1, 2]
+        assert rec.eval_count == n * (1 + 2 * 2)
+        assert rec.best_violation == rec.trace_best_violation[-1]
+        assert rec.best_fitness == rec.trace_best_fitness[-1]
+        # the dropped school half held a fish better than the recorded best
+        assert (batches[-1][:n, 0] + 2.0).min() < rec.best_violation
 
     def test_aborted_gradient_run_counts_completed_calls(self):
         # every fish probes, so each iteration scores one probe batch of
         # n * (D+1) rows; a non-finite constraint in the second batch aborts
-        # the run, and the counts cover exactly the calls that returned before it
+        # the run, and the counts cover exactly the calls that returned before
+        # it. The school is never feasible (g = x0 + 10 > 0), so the phase
+        # stays 1 and no batch is re-scored.
         d, n = 3, 6
         done = {"rows": 0, "batches": 0}
 
@@ -296,7 +333,7 @@ class TestRun:
                     return np.full(x.shape[0], np.nan)
                 done["batches"] += 1
             done["rows"] += x.shape[0]
-            return x[:, 0] - 1.0
+            return x[:, 0] + 10.0
 
         problem = Problem(
             dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
@@ -311,13 +348,18 @@ class TestRun:
         assert rec.eval_count == done["rows"]
 
     def test_probe_rows_do_not_score_the_objective(self):
-        # the objective is non-finite everywhere but at the school's own
-        # n-row batches: the probe scores only the constraints, so the run
-        # completes, and the evaluation count formula still holds
+        # the objective is non-finite everywhere but at the initial n-row
+        # batch and the 2n-row batches of school and candidates: the probe
+        # scores only the constraints, so the run completes, and the
+        # evaluation count formula still holds
         d, n, t = 3, 6, 20
+
+        def objective(x):
+            return (x**2).sum(axis=-1) if len(x) in (n, 2 * n) else np.full(len(x), np.nan)
+
         problem = Problem(
             dimension=d, lower=np.full(d, -5.0), upper=np.full(d, 5.0),
-            objective=lambda x: (x**2).sum(axis=-1) if len(x) == n else np.full(len(x), np.nan),
+            objective=objective,
             inequalities=(lambda x: x[:, 0] - 1.0,),
         )
         variant = Variant("gradient", k_directions=4, p_g=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wrfss.cec2010 import load_problem
-from wrfss.engine import EngineParams, Variant, _probe_candidates, run
+from wrfss.engine import EngineParams, Variant, _candidates, _probe_moves, run
 from wrfss.gradient import forward_gradient, pick_direction
 from wrfss.problem import Problem, evaluate_many, violation_many
 from wrfss.school import accept
@@ -118,6 +118,14 @@ class TestPickDirection:
             pick_direction(np.ones((1, 2)), np.ones((1, 3, 2)), 7)
 
 
+def probe_candidates_of_engine(violation_rows, positions, phase, step_ind, variant, e, rng,
+                               lower, upper):
+    """The engine's probe-gated candidates: its draws and probes, then its candidates."""
+    moves = _probe_moves(rng, positions, variant, violation_rows, e)
+    return _candidates(positions, moves, phase, step_ind, lower, upper,
+                       np.empty_like(positions))
+
+
 class TestProbeMove:
     """The engine's probe-gated candidates, accepted through accept()."""
 
@@ -129,7 +137,7 @@ class TestProbeMove:
             calls.append(rows.shape[0])
             return evaluate_many(problem, rows)[1]
 
-        out = _probe_candidates(
+        out = probe_candidates_of_engine(
             violation_rows, np.asarray(positions, float), phase, np.full(problem.dimension, step),
             variant, 1e-6 * problem.range_width, rng, problem.lower, problem.upper,
         )
@@ -242,8 +250,8 @@ def test_batched_probe_matches_per_fish_reference(pid, p_g, phase):
         positions = problem.lower + rng.random((30, problem.dimension)) * problem.range_width
         step_ind = rng.uniform(0.0, 0.2) * problem.range_width
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        batched = _probe_candidates(violation_rows, positions, phase, step_ind, variant, e, ours,
-                                    problem.lower, problem.upper)
+        batched = probe_candidates_of_engine(violation_rows, positions, phase, step_ind, variant,
+                                             e, ours, problem.lower, problem.upper)
         expected = probe_candidates(violation_rows, positions, phase, step_ind, variant, e, ref,
                                     problem.lower, problem.upper)
         assert np.array_equal(batched, expected)

@@ -171,9 +171,11 @@ class TestRunBatch:
         calls = {"n": 0}
 
         def objective(x):
-            # one run scores 1 + 2 * 20 batches; the 60th falls in the second run
+            # one run scores its initial school, one batch per iteration, and
+            # once more the batch of iteration 0, which switches to phase 2:
+            # 1 + 20 + 1 calls; the 30th falls in the second run
             calls["n"] += 1
-            if calls["n"] == 60:
+            if calls["n"] == 30:
                 return np.full(x.shape[0], np.nan)
             return (x**2).sum(axis=-1)
 

@@ -129,8 +129,14 @@ def test_trace_rows_follow_feasibility_rules(kind, data):
 
     rec = run(problem, variant, params, seed=seed, observer=observe)
     rows = list(zip(rec.trace_best_fitness, rec.trace_best_violation))
-    # iteration 0 re-scores the initial school, whose best already is row 0
-    starts = [((), ())] + [evaluate_many(problem, x) for x in moved[:-1]]
+    # iteration 0 re-scores the initial school, whose best already is row 0.
+    # run() scores the school as the first n rows of a 2n-row batch with its
+    # candidates; the functions here are BLAS products (x @ w), whose rounding
+    # depends on the batch size, so the oracle scores a 2n-row batch too.
+    n = params.n_fish
+    starts = [((), ())] + [
+        tuple(a[:n] for a in evaluate_many(problem, np.concatenate([x, x]))) for x in moved[:-1]
+    ]
     for t in range(params.iterations):
         best = rows[t]
         for fitness, violation in (starts[t], accepted[t]):

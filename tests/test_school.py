@@ -152,7 +152,9 @@ class TestIndividualMovement:
             sar_alpha0=1.0, sar_decay=0.0,
         )
         rec = run(problem, Variant("base"), params, seed=4)
-        assert seen["rows"] == rec.eval_count
+        # the school is feasible from the start: iteration 0 switches to phase
+        # 2 and re-scores its 2n-row batch once, which eval_count does not count
+        assert seen["rows"] == rec.eval_count + 2 * 6
         assert seen["lo"] >= -1.0 and seen["hi"] <= 1.0
 
     def test_sar_alpha_validated(self):
