@@ -46,3 +46,24 @@ def probe_candidates(violation_rows, positions, phase, step_ind, variant, e, rng
         else:
             candidates[i] = x + rng.uniform(-1.0, 1.0, d) * step_ind
     return np.clip(candidates, lower, upper, out=candidates)
+
+
+def feasible_ratio_reference(problem, samples: int, seed: int = 0) -> float:
+    """Sequential reference of ``cec2010.feasible_ratio``.
+
+    Draws 2048-row blocks of uniform samples from one generator, one after
+    another, and counts the rows whose violation is exactly zero.
+    """
+    from wrfss.problem import violation_many
+
+    rng = np.random.default_rng(seed)
+    feasible = 0
+    remaining = samples
+    while remaining > 0:
+        n = min(2048, remaining)
+        pts = rng.random((n, problem.dimension))
+        pts *= problem.range_width
+        pts += problem.lower
+        feasible += int(np.count_nonzero(violation_many(problem, pts) == 0.0))
+        remaining -= n
+    return feasible / samples

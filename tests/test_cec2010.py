@@ -15,6 +15,8 @@ from wrfss.cec2010 import (
 )
 from wrfss.problem import Problem, evaluate_many, violation_many
 
+from oracles import feasible_ratio_reference
+
 
 def at(problem, x):
     """(fitness, violation) of one point, scored as a one-row batch."""
@@ -196,6 +198,16 @@ class TestFeasibleRatio:
         bench = load_problem("C01")
         with pytest.raises(ValueError):
             feasible_ratio(bench.problem, samples=0)
+
+    @pytest.mark.parametrize("source", ["surrogate", "zero"])
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_matches_sequential_reference(self, pid, source):
+        problem = load_problem(pid, source=source).problem
+        for seed in range(3):
+            for samples in (1, 2047, 2049, 3 * 2048 + 5):
+                got = feasible_ratio(problem, samples, seed)
+                assert repr(got) == repr(feasible_ratio_reference(problem, samples, seed)), (
+                    seed, samples)
 
 
 class TestViolationMany:
