@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Problem", "EvaluationError", "evaluate_many", "violation_many"]
+__all__ = ["Problem", "EvaluationError", "evaluate_many", "feasible_many", "violation_many"]
 
 # Maps an (n, D) batch of points to n values.
 BatchFn = Callable[[np.ndarray], np.ndarray]
@@ -46,11 +46,12 @@ class Problem:
     """Minimization problem over a box with optional constraints.
 
     The objective and every constraint map an (n, dimension) array to an
-    (n,) array; ``evaluate_many`` and ``violation_many`` reject any other
-    shape. Inequalities are feasible when g(x) <= 0, equalities when |h(x)|
-    <= delta, and ``violation_exponent`` is the power p applied to each breach
-    in the violation measure (see the module docstring). A per-point function f
-    becomes a batch one as ``lambda X: np.array([f(x) for x in X])``.
+    (n,) array; ``evaluate_many``, ``violation_many`` and ``feasible_many``
+    reject any other shape. Inequalities are feasible when g(x) <= 0,
+    equalities when |h(x)| <= delta, and ``violation_exponent`` is the power p
+    applied to each breach in the violation measure (see the module
+    docstring). A per-point function f becomes a batch one as
+    ``lambda X: np.array([f(x) for x in X])``.
     """
 
     dimension: int
@@ -96,13 +97,6 @@ class Problem:
         return len(self.equalities)
 
 
-def _violation_terms(values: np.ndarray, exponent: float) -> np.ndarray:
-    terms = np.maximum(0.0, values)
-    if exponent != 1.0:
-        terms = terms**exponent
-    return terms
-
-
 def _values(fn: BatchFn, points: np.ndarray, kind: str, index: int | None, name: str) -> np.ndarray:
     """``fn(points)`` as floats, checked to be one finite value per point."""
     values = np.asarray(fn(points), dtype=float)
@@ -132,6 +126,24 @@ def _checked_points(problem: Problem, points) -> np.ndarray:
     return points
 
 
+def _constraints(problem: Problem) -> list[tuple[str, int, BatchFn]]:
+    """Each constraint as (kind, index, function), in the order the violation sums them."""
+    return [("inequality", j, g) for j, g in enumerate(problem.inequalities)] + [
+        ("equality", j, h) for j, h in enumerate(problem.equalities)
+    ]
+
+
+def _term(problem: Problem, kind: str, index: int, fn: BatchFn, points: np.ndarray) -> np.ndarray:
+    """One constraint's violation term per row: max(0, g)**p, or max(0, |h| - delta)**p."""
+    values = _values(fn, points, kind, index, problem.name)
+    if kind == "equality":
+        values = np.abs(values) - problem.delta
+    terms = np.maximum(0.0, values)
+    if problem.violation_exponent != 1.0:
+        terms = terms**problem.violation_exponent
+    return terms
+
+
 def violation_many(problem: Problem, points: np.ndarray) -> np.ndarray:
     """The violation of each row of a batch, without calling the objective.
 
@@ -143,14 +155,38 @@ def violation_many(problem: Problem, points: np.ndarray) -> np.ndarray:
     value.
     """
     points = _checked_points(problem, points)
-    p, name = problem.violation_exponent, problem.name
     violation = np.zeros(points.shape[0])
-    for j, g in enumerate(problem.inequalities):
-        violation += _violation_terms(_values(g, points, "inequality", j, name), p)
-    for j, h in enumerate(problem.equalities):
-        hv = _values(h, points, "equality", j, name)
-        violation += _violation_terms(np.abs(hv) - problem.delta, p)
+    for kind, j, fn in _constraints(problem):
+        violation += _term(problem, kind, j, fn, points)
     return violation
+
+
+def feasible_many(problem: Problem, points: np.ndarray) -> np.ndarray:
+    """Whether each row of a batch is feasible: ``violation_many(problem, points) == 0``.
+
+    The constraints are scored in the order the violation sums them, each
+    only on the rows every earlier one accepted: the whole batch while no row
+    is rejected, then the rows still feasible, stopping once none is left. So
+    a constraint is never called on a row an earlier one rejected, and a
+    non-finite value there raises nothing. Otherwise raises as
+    ``violation_many`` does.
+    """
+    points = _checked_points(problem, points)
+    feasible = np.ones(points.shape[0], dtype=bool)
+    rows = None  # indices of the rows still feasible, once some row is rejected
+    for kind, j, fn in _constraints(problem):
+        if rows is None:
+            feasible = _term(problem, kind, j, fn, points) == 0.0
+            if feasible.all():
+                continue
+            rows = np.flatnonzero(feasible)
+        else:
+            accepted = _term(problem, kind, j, fn, points[rows]) == 0.0
+            feasible[rows[~accepted]] = False
+            rows = rows[accepted]
+        if rows.size == 0:
+            break
+    return feasible
 
 
 def evaluate_many(problem: Problem, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from wrfss.cec2010 import (
     load_problem,
     write_data_dir,
 )
-from wrfss.problem import Problem, evaluate_many, violation_many
+from wrfss.problem import EvaluationError, Problem, evaluate_many, feasible_many, violation_many
 
 from oracles import feasible_ratio_reference
 
@@ -173,18 +175,19 @@ class TestFeasibleRatio:
         assert est == pytest.approx(0.5054, abs=5e-3)
 
     def test_samples_scored_in_fixed_batches(self, monkeypatch):
+        # The blocks are scored in worker threads, so they may finish in any order.
         rows = []
 
         def counting(problem, points):
             rows.append(points.shape[0])
-            return violation_many(problem, points)
+            return feasible_many(problem, points)
 
-        monkeypatch.setattr(cec2010, "violation_many", counting)
+        monkeypatch.setattr(cec2010, "feasible_many", counting)
         p = Problem(dimension=1, lower=np.zeros(1), upper=np.ones(1),
                     objective=lambda x: np.zeros(x.shape[0]))
         block = cec2010._SAMPLE_BATCH
         assert feasible_ratio(p, samples=2 * block + 5, seed=1) == 1.0
-        assert rows == [block, block, 5]
+        assert sorted(rows) == [5, block, block]
 
     def test_objective_is_never_scored(self):
         # A decision, pinned: sampling scores only the constraints, so an
@@ -199,6 +202,102 @@ class TestFeasibleRatio:
         with pytest.raises(ValueError):
             feasible_ratio(bench.problem, samples=0)
 
+    def test_non_finite_only_at_rejected_samples_gives_a_ratio(self):
+        # A decision, pinned: a constraint is scored only where every earlier
+        # one accepted the sample, so a constraint that is non-finite only
+        # where the sample is already infeasible is not reported.
+        p = Problem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                    objective=lambda x: np.zeros(x.shape[0]), name="p",
+                    inequalities=(lambda x: x[:, 0] - 0.5,
+                                  lambda x: np.where(x[:, 0] > 0.5, np.inf, x[:, 1] - 0.5)))
+        assert feasible_ratio(p, samples=5000, seed=4) == pytest.approx(0.25, abs=0.03)
+
+    def test_non_finite_at_an_accepted_sample_raises(self):
+        p = Problem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                    objective=lambda x: np.zeros(x.shape[0]), name="p",
+                    inequalities=(lambda x: x[:, 0] - 0.5,
+                                  lambda x: np.where(x[:, 1] > 0.99, np.nan, x[:, 1] - 0.5)))
+        with pytest.raises(EvaluationError) as err:
+            feasible_ratio(p, samples=5000, seed=4)
+        assert (err.value.kind, err.value.index) == ("inequality", 1)
+        assert str(err.value) == "non-finite value from inequality[1] of problem 'p'"
+
+    @staticmethod
+    def failing_in_blocks(failures, blocks=5, seed=3):
+        """A problem whose constraint raises ``failures[k]`` on sample block k."""
+        block = cec2010._SAMPLE_BATCH
+        pts = np.random.default_rng(seed).random((blocks * block, 2))
+
+        def constraint(x):
+            for k, exc in failures.items():
+                if np.array_equal(x, pts[k * block:(k + 1) * block]):
+                    raise exc
+            return x[:, 0] - 0.5
+
+        return Problem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                       objective=lambda x: np.zeros(x.shape[0]), name="p",
+                       inequalities=(constraint,)), blocks * block
+
+    def test_error_in_a_middle_block_reaches_the_caller_unchanged(self):
+        problem, samples = self.failing_in_blocks({2: KeyError("block 2")})
+        with pytest.raises(KeyError) as err:
+            feasible_ratio(problem, samples, seed=3)
+        assert err.value.args == ("block 2",)
+
+    def test_first_failing_block_in_sample_order_raises(self):
+        problem, samples = self.failing_in_blocks(
+            {1: EvaluationError("inequality", 0, "p"), 3: ValueError("block 3")})
+        with pytest.raises(EvaluationError, match=r"^non-finite value from inequality\[0\] "
+                           r"of problem 'p'$"):
+            feasible_ratio(problem, samples, seed=3)
+
+    def test_worker_threads_end_with_the_call(self):
+        baseline = threading.active_count()
+        problem = load_problem("C07").problem
+        assert feasible_ratio(problem, samples=20000, seed=1) > 0.0
+        assert threading.active_count() == baseline
+        failing, samples = self.failing_in_blocks({1: ValueError("block 1")})
+        with pytest.raises(ValueError, match="block 1"):
+            feasible_ratio(failing, samples, seed=3)
+        assert threading.active_count() == baseline
+
+    def test_at_most_two_blocks_per_worker_in_flight(self, monkeypatch):
+        # Blocks are drawn only as workers free up, never all up front.
+        lock = threading.Lock()
+        state = {"submitted": 0, "scored": 0, "most": 0}
+
+        class Counting(cec2010.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                with lock:
+                    state["submitted"] += 1
+                    state["most"] = max(state["most"], state["submitted"] - state["scored"])
+                return super().submit(fn, *args)
+
+        def scoring(problem, points):
+            mask = feasible_many(problem, points)
+            with lock:
+                state["scored"] += 1
+            return mask
+
+        monkeypatch.setattr(cec2010, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(cec2010, "feasible_many", scoring)
+        monkeypatch.setattr(cec2010, "_sampling_workers", lambda: 2)
+        problem = load_problem("C07").problem
+        got = feasible_ratio(problem, 30 * cec2010._SAMPLE_BATCH, seed=2)
+        assert state["submitted"] == state["scored"] == 30
+        assert state["most"] <= 4
+        assert repr(got) == repr(feasible_ratio_reference(problem, 30 * 2048, 2))
+
+    def test_matches_reference_under_frequent_thread_switches(self):
+        problem = load_problem("C08").problem
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = feasible_ratio(problem, 20 * cec2010._SAMPLE_BATCH + 3, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(got) == repr(feasible_ratio_reference(problem, 20 * 2048 + 3, 5))
+
     @pytest.mark.parametrize("source", ["surrogate", "zero"])
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_matches_sequential_reference(self, pid, source):
@@ -208,6 +307,19 @@ class TestFeasibleRatio:
                 got = feasible_ratio(problem, samples, seed)
                 assert repr(got) == repr(feasible_ratio_reference(problem, samples, seed)), (
                     seed, samples)
+
+
+class TestFeasibleMany:
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 2053])
+    def test_equals_zero_violation(self, pid, n):
+        problem = load_problem(pid).problem
+        rng = np.random.default_rng([n, PROBLEM_IDS.index(pid), 1])
+        pts = problem.lower + rng.random((n, DIMENSION)) * problem.range_width
+        mask = feasible_many(problem, pts)
+        assert np.array_equal(mask, violation_many(problem, pts) == 0.0)
+        if pid in ("C01", "C07", "C08") and n == 2053:
+            assert 0 < np.count_nonzero(mask) < n
 
 
 class TestViolationMany:

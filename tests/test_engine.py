@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from wrfss import engine
+from wrfss.cec2010 import load_problem
 from wrfss.engine import EngineParams, Variant, decide_phase, run
-from wrfss.problem import Problem
+from wrfss.problem import Problem, evaluate_many
 from wrfss.school import StepSchedule
 
 from oracles import is_forest
@@ -189,6 +191,25 @@ class TestRun:
         rec = run(problem, Variant("base"), EngineParams(n_fish=15, iterations=400), seed=11)
         assert rec.best_violation == 0.0
         assert rec.best_fitness < rec.trace_best_fitness[0] * 0.2
+
+    def test_switch_to_phase_one_without_probes_is_not_rescored(self, monkeypatch):
+        # One call per iteration, plus one re-score per switch from phase 1 to
+        # phase 2 (boosted step). A switch back to phase 1 with no probing
+        # fish rebuilds the same candidates, so its batch is not scored again.
+        calls = []
+
+        def counting(problem, points):
+            calls.append(points.shape[0])
+            return evaluate_many(problem, points)
+
+        monkeypatch.setattr(engine, "evaluate_many", counting)
+        problem = load_problem("C07").problem
+        params = EngineParams(n_fish=10, iterations=200, sigma=0.5, tau=0.01)
+        rec = run(problem, Variant("base"), params, seed=1000)
+        phases = [1] + rec.trace_phase[1:].tolist()  # the loop starts in phase 1
+        pairs = list(zip(phases, phases[1:]))
+        assert pairs.count((2, 1)) > 0
+        assert len(calls) == 1 + params.iterations + pairs.count((1, 2))
 
     def test_phase_flips_are_possible_and_not_latched(self):
         problem = ring()

@@ -3,7 +3,7 @@ import pytest
 
 import wrfss
 from wrfss import problem as problem_module
-from wrfss.problem import EvaluationError, Problem, evaluate_many, violation_many
+from wrfss.problem import EvaluationError, Problem, evaluate_many, feasible_many, violation_many
 
 
 def box(d, lo, hi, **kw):
@@ -235,6 +235,100 @@ class TestViolationMany:
         with pytest.raises(EvaluationError) as err:
             violation_many(p, np.zeros((2, 1)))
         assert (err.value.kind, err.value.index) == (kind, 1)
+
+
+class TestFeasibleMany:
+    """violation_many(...) == 0, with each constraint scored only on rows still feasible."""
+
+    @staticmethod
+    def four_constraints(exponent=1.0, calls=None):
+        # Rows of [-1, 1]^2 fail at different constraints: x0 > 0.5, then
+        # x1 > 0.5, then |x0 + x1 - 0.5| > 0.1, then |x0 - x1| > 0.1.
+        def logged(j, fn):
+            def constraint(x):
+                if calls is not None:
+                    calls.append((j, x.shape[0]))
+                return fn(x)
+            return constraint
+
+        return box(
+            2, -1, 1, objective=TestViolationMany.never, delta=0.1,
+            violation_exponent=exponent,
+            inequalities=(logged(0, lambda x: x[:, 0] - 0.5), logged(1, lambda x: x[:, 1] - 0.5)),
+            equalities=(logged(2, lambda x: x[:, 0] + x[:, 1] - 0.5),
+                        logged(3, lambda x: x[:, 0] - x[:, 1])),
+        )
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 2053])
+    def test_equals_zero_violation(self, n, exponent):
+        p = self.four_constraints(exponent)
+        pts = np.random.default_rng([n, 7]).uniform(-1, 1, (n, 2))
+        mask = feasible_many(p, pts)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, violation_many(p, pts) == 0.0)
+
+    def test_rows_fail_at_every_constraint(self):
+        p = self.four_constraints()
+        pts = np.array([[0.25, 0.25], [0.9, 0.0], [0.0, 0.9], [0.0, 0.0], [0.45, 0.05]])
+        # feasible, then rejected by constraints 0, 1, 2 and 3 in turn
+        assert feasible_many(p, pts).tolist() == [True, False, False, False, False]
+        assert (violation_many(p, pts) == 0.0).tolist() == [True, False, False, False, False]
+
+    def test_each_constraint_sees_only_rows_still_feasible(self):
+        calls = []
+        p = self.four_constraints(calls=calls)
+        pts = np.array([[0.0, 0.0], [0.9, 0.0], [0.0, 0.9], [0.45, 0.05], [0.3, 0.25],
+                        [0.25, 0.25]])
+        assert feasible_many(p, pts).tolist() == [False, False, False, False, True, True]
+        assert calls == [(0, 6), (1, 5), (2, 4), (3, 3)]
+
+    def test_batch_passed_whole_while_every_row_is_feasible(self):
+        seen = []
+        p = box(1, -1, 1, objective=TestViolationMany.never,
+                inequalities=(lambda x: seen.append(x) or x[:, 0] - 2.0,
+                              lambda x: seen.append(x) or x[:, 0] - 0.5))
+        pts = np.array([[0.0], [0.9], [0.2]])
+        assert feasible_many(p, pts).tolist() == [True, False, True]
+        assert seen[0] is pts and seen[1] is pts
+
+    def test_stops_once_no_row_is_left(self):
+        calls = []
+        p = self.four_constraints(calls=calls)
+        assert feasible_many(p, np.full((3, 2), 0.9)).tolist() == [False] * 3
+        assert calls == [(0, 3)]
+
+    def test_unconstrained_rows_are_feasible(self):
+        p = box(2, -1, 1, objective=TestViolationMany.never)
+        assert feasible_many(p, np.zeros((3, 2))).tolist() == [True, True, True]
+
+    def test_non_finite_only_at_rejected_rows_raises_nothing(self):
+        p = box(1, -1, 1, objective=TestViolationMany.never,
+                inequalities=(lambda x: x[:, 0], lambda x: np.where(x[:, 0] > 0, np.nan, -1.0)))
+        assert feasible_many(p, np.array([[-0.5], [0.5]])).tolist() == [True, False]
+        with pytest.raises(EvaluationError):
+            violation_many(p, np.array([[-0.5], [0.5]]))
+
+    @pytest.mark.parametrize("kind", ["inequality", "equality"])
+    def test_non_finite_at_a_feasible_row_is_an_evaluation_error(self, kind):
+        bad = (zeros, lambda x: np.full(x.shape[0], np.nan))
+        p = box(1, -1, 1, objective=TestViolationMany.never, **{kind[:-1] + "ies": bad})
+        with pytest.raises(EvaluationError) as err:
+            feasible_many(p, np.zeros((2, 1)))
+        assert (err.value.kind, err.value.index) == (kind, 1)
+        assert str(err.value) == f"non-finite value from {kind}[1]"
+
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros(2), np.zeros((1, 2, 2))])
+    def test_points_shape_rejected(self, points):
+        p = box(2, -1, 1, objective=TestViolationMany.never, inequalities=(zeros,))
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+            feasible_many(p, points)
+
+    def test_constraint_shape_rejected(self):
+        p = box(2, -1, 1, objective=TestViolationMany.never,
+                equalities=(zeros, lambda x: x[:, :1]))
+        with pytest.raises(ValueError, match=r"equality\[1\].*returned shape \(4, 1\)"):
+            feasible_many(p, np.zeros((4, 2)))
 
 
 def test_removed_per_point_names_are_gone():
