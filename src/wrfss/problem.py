@@ -14,7 +14,7 @@ with p the violation exponent. It is zero exactly on the relaxed feasible set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -126,11 +126,12 @@ def _checked_points(problem: Problem, points) -> np.ndarray:
     return points
 
 
-def _constraints(problem: Problem) -> list[tuple[str, int, BatchFn]]:
+def _constraints(problem: Problem) -> Iterator[tuple[str, int, BatchFn]]:
     """Each constraint as (kind, index, function), in the order the violation sums them."""
-    return [("inequality", j, g) for j, g in enumerate(problem.inequalities)] + [
-        ("equality", j, h) for j, h in enumerate(problem.equalities)
-    ]
+    for j, g in enumerate(problem.inequalities):
+        yield "inequality", j, g
+    for j, h in enumerate(problem.equalities):
+        yield "equality", j, h
 
 
 def _term(problem: Problem, kind: str, index: int, fn: BatchFn, points: np.ndarray) -> np.ndarray:

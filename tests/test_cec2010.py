@@ -1,5 +1,4 @@
 import json
-import sys
 import threading
 
 import numpy as np
@@ -287,16 +286,6 @@ class TestFeasibleRatio:
         assert state["submitted"] == state["scored"] == 30
         assert state["most"] <= 4
         assert repr(got) == repr(feasible_ratio_reference(problem, 30 * 2048, 2))
-
-    def test_matches_reference_under_frequent_thread_switches(self):
-        problem = load_problem("C08").problem
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = feasible_ratio(problem, 20 * cec2010._SAMPLE_BATCH + 3, seed=5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert repr(got) == repr(feasible_ratio_reference(problem, 20 * 2048 + 3, 5))
 
     @pytest.mark.parametrize("source", ["surrogate", "zero"])
     @pytest.mark.parametrize("pid", PROBLEM_IDS)

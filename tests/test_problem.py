@@ -268,20 +268,15 @@ class TestFeasibleMany:
         assert mask.dtype == bool
         assert np.array_equal(mask, violation_many(p, pts) == 0.0)
 
-    def test_rows_fail_at_every_constraint(self):
-        p = self.four_constraints()
-        pts = np.array([[0.25, 0.25], [0.9, 0.0], [0.0, 0.9], [0.0, 0.0], [0.45, 0.05]])
-        # feasible, then rejected by constraints 0, 1, 2 and 3 in turn
-        assert feasible_many(p, pts).tolist() == [True, False, False, False, False]
-        assert (violation_many(p, pts) == 0.0).tolist() == [True, False, False, False, False]
-
     def test_each_constraint_sees_only_rows_still_feasible(self):
         calls = []
         p = self.four_constraints(calls=calls)
         pts = np.array([[0.0, 0.0], [0.9, 0.0], [0.0, 0.9], [0.45, 0.05], [0.3, 0.25],
                         [0.25, 0.25]])
+        # rejected by constraint 2, 0, 1 and 3, then two feasible rows
         assert feasible_many(p, pts).tolist() == [False, False, False, False, True, True]
         assert calls == [(0, 6), (1, 5), (2, 4), (3, 3)]
+        assert (violation_many(p, pts) == 0.0).tolist() == [False] * 4 + [True] * 2
 
     def test_batch_passed_whole_while_every_row_is_feasible(self):
         seen = []
