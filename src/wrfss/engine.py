@@ -382,21 +382,20 @@ def run(
             merge_best()
 
             new_phase = decide_phase(violation, params.sigma)
-            if new_phase != phase:
-                phase = new_phase
+            if new_phase == 2 and phase == 1:
+                schedule.boost(params.tau, t)
+            if new_phase != phase and (new_phase == 2 or moves.probing.size):
                 # Rebuild the candidates from the same draws for the new phase
                 # (and step, boosted on a switch to phase 2), and re-score the
                 # batch so they keep the rounding of a 2n-row call. A switch to
                 # phase 1 with no probing fish boosts nothing and picks no
                 # direction, so the candidates already scored stand.
-                if phase == 2 or moves.probing.size:
-                    if phase == 2:
-                        schedule.boost(params.tau, t)
-                    step_ind_frac, step_vol_frac = schedule.at(t)
-                    _candidates(
-                        positions, moves, phase, step_ind_frac * width, lower, upper, candidates
-                    )
-                    batch_fitness, batch_violation = evaluate_many(problem, batch)
+                step_ind_frac, step_vol_frac = schedule.at(t)
+                _candidates(
+                    positions, moves, new_phase, step_ind_frac * width, lower, upper, candidates
+                )
+                batch_fitness, batch_violation = evaluate_many(problem, batch)
+            phase = new_phase
             cand_fitness, cand_violation = batch_fitness[n:], batch_violation[n:]
             step_vol = step_vol_frac * width
             alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)

@@ -238,17 +238,12 @@ class TestFeasibleRatio:
                        inequalities=(constraint,)), blocks * block
 
     def test_error_in_a_middle_block_reaches_the_caller_unchanged(self):
-        problem, samples = self.failing_in_blocks({2: KeyError("block 2")})
+        # Blocks 2 and 3 fail; the first in sample order is raised as it was.
+        problem, samples = self.failing_in_blocks(
+            {2: KeyError("block 2"), 3: ValueError("block 3")})
         with pytest.raises(KeyError) as err:
             feasible_ratio(problem, samples, seed=3)
         assert err.value.args == ("block 2",)
-
-    def test_first_failing_block_in_sample_order_raises(self):
-        problem, samples = self.failing_in_blocks(
-            {1: EvaluationError("inequality", 0, "p"), 3: ValueError("block 3")})
-        with pytest.raises(EvaluationError, match=r"^non-finite value from inequality\[0\] "
-                           r"of problem 'p'$"):
-            feasible_ratio(problem, samples, seed=3)
 
     def test_worker_threads_end_with_the_call(self):
         baseline = threading.active_count()
