@@ -154,12 +154,19 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         half = d // 2
         objective = lambda x: (x - o).max(axis=-1)
         inequalities = ()
+
+        def h_cos(x):
+            z = x - o
+            return _mean(z * np.cos(np.sqrt(np.abs(z))))
+
+        def h_chain(x):
+            z = x - o
+            return ((z[..., half:-1] ** 2 - z[..., half + 1:]) ** 2).sum(axis=-1)
+
         equalities = (
-            lambda x: _mean((x - o) * np.cos(np.sqrt(np.abs(x - o)))),
+            h_cos,
             lambda x: (np.diff((x - o)[..., :half], axis=-1) ** 2).sum(axis=-1),
-            lambda x: (
-                ((x - o)[..., half:-1] ** 2 - (x - o)[..., half + 1:]) ** 2
-            ).sum(axis=-1),
+            h_chain,
             lambda x: (x - o).sum(axis=-1),
         )
     elif pid == "C06":
@@ -198,9 +205,12 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
     elif pid == "C09":
         objective = lambda x: rosenbrock(x + 1.0 - o)
         inequalities = ()
-        equalities = (
-            lambda x: ((x - o) * np.sin(np.sqrt(np.abs(x - o)))).sum(axis=-1),
-        )
+
+        def h_sin(x):
+            z = x - o
+            return (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1)
+
+        equalities = (h_sin,)
     else:
         raise ValueError(f"unknown problem id {pid!r}; choose one of {PROBLEM_IDS}")
 

@@ -88,8 +88,6 @@ class EpsilonSchedule:
             raise ValueError(f"iteration must be non-negative, got {t}")
         if t >= self.cutoff or self.eps0 == 0.0:
             return 0.0
-        if t == 0:
-            return self.eps0
         return self.eps0 * (1.0 - t / self.cutoff) ** self.cp
 
 
@@ -111,15 +109,16 @@ def normalized_feeding(
     return w_scale + (1.0 - w_scale) * frac
 
 
+@dataclass(frozen=True)
 class RunningExtremes:
-    """Minimum and maximum of every value seen so far."""
+    """Minimum and maximum of every value seen so far; ``update`` returns the widened pair."""
 
-    def __init__(self):
-        self.min = math.inf
-        self.max = -math.inf
+    min: float = math.inf
+    max: float = -math.inf
 
-    def update(self, values: np.ndarray) -> None:
+    def update(self, values: np.ndarray) -> RunningExtremes:
         values = np.asarray(values, dtype=float)
-        if values.size:
-            self.min = min(self.min, float(values.min()))
-            self.max = max(self.max, float(values.max()))
+        if not values.size:
+            return self
+        lo, hi = float(values.min()), float(values.max())
+        return RunningExtremes(min(self.min, lo), max(self.max, hi))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -221,7 +222,7 @@ def _probe_moves(
     rng: np.random.Generator,
     positions: np.ndarray,
     variant: Variant,
-    violation_rows: Callable[[np.ndarray], np.ndarray],
+    problem: Problem,
     e: np.ndarray,
 ) -> _Moves:
     """The draws of the probability-gated probe, and the probes' gradients.
@@ -232,7 +233,7 @@ def _probe_moves(
     block per run of plain fish, and the ``k_directions`` normal samples then
     the step fraction of each probing fish. No draw depends on a score, so the
     D+1 forward-difference rows (steps ``e``) of all p probing fish are scored
-    afterwards in one ``violation_rows`` call of p * (D+1) rows.
+    afterwards in one ``violation_many`` call of p * (D+1) rows.
     """
     n, d = positions.shape
     probing = np.flatnonzero(rng.random(n) < variant.p_g)
@@ -246,7 +247,8 @@ def _probe_moves(
         fractions[j] = rng.random()
         start = i + 1
     offsets[start:] = rng.uniform(-1.0, 1.0, (n - start, d))
-    gradient = forward_gradient(violation_rows, positions[probing], e) if probing.size else None
+    score = partial(violation_many, problem)
+    gradient = forward_gradient(score, positions[probing], e) if probing.size else None
     return _Moves(offsets, probing, gradient, normals, fractions)
 
 
@@ -318,15 +320,6 @@ def run(
     aborted = False
     error = ""
 
-    def probe_violation(rows: np.ndarray) -> np.ndarray:
-        # Probe rows score only the constraints; each probe still counts as
-        # D+1 evaluations.
-        nonlocal eval_count, probe_count
-        violation = violation_many(problem, rows)
-        eval_count += len(rows)
-        probe_count += len(rows) // (d + 1)
-        return violation
-
     def merge_best() -> None:
         # The school's best replaces the incumbent only when strictly better.
         nonlocal best_f, best_v, best_x
@@ -365,7 +358,9 @@ def run(
             # gradient probes, which need no score of the school; then the
             # candidates for the previous iteration's phase and un-boosted step.
             if use_probe:
-                moves = _probe_moves(rng, positions, variant, probe_violation, e_vec)
+                moves = _probe_moves(rng, positions, variant, problem, e_vec)
+                probe_count += moves.probing.size
+                eval_count += moves.probing.size * (d + 1)
             else:
                 moves = _Moves(rng.uniform(-1.0, 1.0, (n, d)))
             step_ind_frac, step_vol_frac = schedule.at(t)
@@ -383,7 +378,7 @@ def run(
 
             new_phase = decide_phase(violation, params.sigma)
             if new_phase == 2 and phase == 1:
-                schedule.boost(params.tau, t)
+                schedule = schedule.boost(params.tau, t)
             if new_phase != phase and (new_phase == 2 or moves.probing.size):
                 # Rebuild the candidates from the same draws for the new phase
                 # (and step, boosted on a switch to phase 2), and re-score the
@@ -416,7 +411,7 @@ def run(
 
             # Feeding: normalize the active objective against its running extremes.
             active = _active_objective(fitness, violation, phase, variant)
-            extremes[phase].update(active)
+            extremes[phase] = extremes[phase].update(active)
             weights = normalized_feeding(
                 active, extremes[phase].min, extremes[phase].max, params.w_scale
             )

@@ -17,6 +17,7 @@ import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -260,9 +261,9 @@ def run_single(
     )
 
 
-def _batch_worker(payload: tuple[dict, int]) -> RunRecord:
-    config_dict, seed = payload
-    return run_single(ExperimentConfig(**config_dict), seed)
+def _batch_worker(config: ExperimentConfig, seed: int) -> RunRecord:
+    # Module-level, so that the pool can pickle it; it reads run_single at call time.
+    return run_single(config, seed)
 
 
 def run_batch(
@@ -281,9 +282,8 @@ def run_batch(
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     seeds = [config.base_seed + i for i in range(config.run_count)]
     if n_jobs > 1 and problem is None and config.run_count > 1:
-        payloads = [(dataclasses.asdict(config), s) for s in seeds]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_batch_worker, payloads))
+            records = list(pool.map(partial(_batch_worker, config), seeds))
     else:
         if problem is None:
             problem = config.load_problem()

@@ -112,10 +112,9 @@ def leader_instinctive_step(
     followers = np.flatnonzero(links.leader >= 0)
     num = delta_x * delta_f[:, None]
     den = delta_f.copy()
-    if followers.size:
-        li = links.leader[followers]
-        num[followers] += delta_x[li] * delta_f[li, None]
-        den[followers] += delta_f[li]
+    li = links.leader[followers]
+    num[followers] += delta_x[li] * delta_f[li, None]
+    den[followers] += delta_f[li]
     drift = np.zeros_like(positions)
     np.divide(num, den[:, None], out=drift, where=den[:, None] != 0.0)
     drift *= rho

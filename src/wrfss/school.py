@@ -15,21 +15,21 @@ a positive delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = ["StepSchedule", "accept"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepSchedule:
     """Linearly decaying step sizes, expressed as fractions of the box range.
 
-    ``at(t)`` interpolates from the (possibly boosted) current anchor down to
-    the final values at the horizon; past the horizon it stays at the final
-    values. ``boost`` multiplies the current values by (1 + tau) and re-anchors
-    the decay there, keeping the original endpoint.
+    ``at(t)`` interpolates from the initial values at iteration ``start`` down
+    to the final values at the horizon; past the horizon it stays at the final
+    values. ``boost(tau, t)`` returns the schedule that starts at ``t`` from
+    the current values times (1 + tau), with the same endpoint.
     """
 
     step_ind_initial: float
@@ -37,9 +37,7 @@ class StepSchedule:
     step_vol_initial: float
     step_vol_final: float
     horizon: int
-    _anchor_t: int = field(default=0, repr=False)
-    _anchor_ind: float = field(default=None, repr=False)
-    _anchor_vol: float = field(default=None, repr=False)
+    start: int = 0
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -50,26 +48,23 @@ class StepSchedule:
                 raise ValueError(
                     f"{name}_initial >= {name}_final >= 0 required, got {initial} and {final}"
                 )
-        if self._anchor_ind is None:
-            self._anchor_ind = self.step_ind_initial
-        if self._anchor_vol is None:
-            self._anchor_vol = self.step_vol_initial
 
     def at(self, t: int) -> tuple[float, float]:
         if t >= self.horizon:
             return self.step_ind_final, self.step_vol_final
-        frac = (t - self._anchor_t) / (self.horizon - self._anchor_t)
+        frac = (t - self.start) / (self.horizon - self.start)
         frac = min(max(frac, 0.0), 1.0)
         return (
-            self._anchor_ind + (self.step_ind_final - self._anchor_ind) * frac,
-            self._anchor_vol + (self.step_vol_final - self._anchor_vol) * frac,
+            self.step_ind_initial + (self.step_ind_final - self.step_ind_initial) * frac,
+            self.step_vol_initial + (self.step_vol_final - self.step_vol_initial) * frac,
         )
 
-    def boost(self, tau: float, t: int) -> None:
+    def boost(self, tau: float, t: int) -> StepSchedule:
         ind, vol = self.at(t)
-        self._anchor_t = min(t, self.horizon)
-        self._anchor_ind = ind * (1.0 + tau)
-        self._anchor_vol = vol * (1.0 + tau)
+        return replace(
+            self, step_ind_initial=ind * (1.0 + tau), step_vol_initial=vol * (1.0 + tau),
+            start=min(t, self.horizon),
+        )
 
 
 def accept(

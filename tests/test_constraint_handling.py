@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -243,10 +244,13 @@ def test_best_index_follows_feasibility_rules():
 
 
 def test_running_extremes():
-    ext = RunningExtremes()
-    assert not ext.min <= ext.max  # nothing seen yet
-    ext.update(np.array([3.0, -1.0]))
-    ext.update(np.array([2.0]))
+    empty = RunningExtremes()
+    assert not empty.min <= empty.max  # nothing seen yet
+    ext = empty.update(np.array([3.0, -1.0])).update(np.array([2.0]))
+    assert not empty.min <= empty.max  # update returns a new pair
+    assert ext.update(np.array([])) == ext
     assert ext.min == -1.0
     assert ext.max == 3.0
     assert ext.min <= ext.max
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ext.min = 0.0

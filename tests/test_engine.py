@@ -89,7 +89,7 @@ def boosts(monkeypatch):
 
     def counting_boost(schedule, tau, t):
         calls.append((tau, t))
-        boost(schedule, tau, t)
+        return boost(schedule, tau, t)
 
     monkeypatch.setattr(StepSchedule, "boost", counting_boost)
     return calls

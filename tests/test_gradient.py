@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wrfss import engine
 from wrfss.cec2010 import load_problem
 from wrfss.engine import EngineParams, Variant, _candidates, _probe_moves, run
 from wrfss.gradient import forward_gradient, pick_direction
@@ -118,11 +119,10 @@ class TestPickDirection:
             pick_direction(np.ones((1, 2)), np.ones((1, 3, 2)), 7)
 
 
-def probe_candidates_of_engine(violation_rows, positions, phase, step_ind, variant, e, rng,
-                               lower, upper):
+def probe_candidates_of_engine(problem, positions, phase, step_ind, variant, e, rng):
     """The engine's probe-gated candidates: its draws and probes, then its candidates."""
-    moves = _probe_moves(rng, positions, variant, violation_rows, e)
-    return _candidates(positions, moves, phase, step_ind, lower, upper,
+    moves = _probe_moves(rng, positions, variant, problem, e)
+    return _candidates(positions, moves, phase, step_ind, problem.lower, problem.upper,
                        np.empty_like(positions))
 
 
@@ -131,16 +131,19 @@ class TestProbeMove:
 
     @staticmethod
     def candidates(problem, positions, phase, step, variant, rng):
+        """The candidates, and the row count of every probe batch the engine scored."""
         calls = []
 
-        def violation_rows(rows):
+        def violation_rows(scored, rows):
             calls.append(rows.shape[0])
-            return evaluate_many(problem, rows)[1]
+            return violation_many(scored, rows)
 
-        out = probe_candidates_of_engine(
-            violation_rows, np.asarray(positions, float), phase, np.full(problem.dimension, step),
-            variant, 1e-6 * problem.range_width, rng, problem.lower, problem.upper,
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "violation_many", violation_rows)
+            out = probe_candidates_of_engine(
+                problem, np.asarray(positions, float), phase, np.full(problem.dimension, step),
+                variant, 1e-6 * problem.range_width, rng,
+            )
         return out, calls
 
     def test_zero_probability_matches_plain_move(self):
@@ -250,8 +253,8 @@ def test_batched_probe_matches_per_fish_reference(pid, p_g, phase):
         positions = problem.lower + rng.random((30, problem.dimension)) * problem.range_width
         step_ind = rng.uniform(0.0, 0.2) * problem.range_width
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        batched = probe_candidates_of_engine(violation_rows, positions, phase, step_ind, variant,
-                                             e, ours, problem.lower, problem.upper)
+        batched = probe_candidates_of_engine(problem, positions, phase, step_ind, variant, e,
+                                             ours)
         expected = probe_candidates(violation_rows, positions, phase, step_ind, variant, e, ref,
                                     problem.lower, problem.upper)
         assert np.array_equal(batched, expected)

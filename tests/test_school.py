@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,9 @@ def ring(d=3):
 
 
 def feed(values, extremes, w_scale):
-    """The engine's feeding stage: running extremes, then normalized weights."""
-    extremes.update(values)
-    return normalized_feeding(values, extremes.min, extremes.max, w_scale)
+    """The engine's feeding stage: the widened running extremes, and the normalized weights."""
+    extremes = extremes.update(values)
+    return extremes, normalized_feeding(values, extremes.min, extremes.max, w_scale)
 
 
 class TestStepSchedule:
@@ -53,14 +55,14 @@ class TestStepSchedule:
 
     def test_boost_multiplies_current_value(self):
         s = StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=100)
-        s.boost(0.3, 0)
+        s = s.boost(0.3, 0)
         ind, vol = s.at(0)
         assert ind == pytest.approx(0.13)
         assert vol == pytest.approx(0.26)
 
     def test_boost_keeps_decay_endpoint(self):
         s = StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=100)
-        s.boost(0.5, 50)  # current 0.05 -> 0.075, anchored at t=50
+        s = s.boost(0.5, 50)  # current 0.05 -> 0.075, anchored at t=50
         ind, _ = s.at(50)
         assert ind == pytest.approx(0.075)
         ind75, _ = s.at(75)
@@ -70,8 +72,32 @@ class TestStepSchedule:
     def test_zero_boost_is_identity(self):
         s = StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=100)
         before = s.at(30)
-        s.boost(0.0, 30)
+        s = s.boost(0.0, 30)
         assert s.at(30) == pytest.approx(before)
+
+    @pytest.mark.parametrize("horizon", [100, 5000, 80000])
+    @pytest.mark.parametrize("tau", [0.0, 0.01, 0.3])
+    def test_boost_at_any_iteration_keeps_final_floor(self, tau, horizon):
+        # boost re-runs the initial >= final >= 0 check on the boosted values
+        s = EngineParams(iterations=horizon, tau=tau).step_schedule()
+        final = (s.step_ind_final, s.step_vol_final)
+        for t in range(horizon):
+            boosted = s.boost(tau, t)
+            assert boosted.start == t
+            for u in (t, horizon - 1):
+                ind, vol = boosted.at(u)
+                assert ind >= final[0] and vol >= final[1]
+            assert boosted.at(horizon) == final
+        ind, vol = s.boost(tau, horizon // 2).boost(tau, horizon - 1).at(horizon - 1)
+        assert ind >= final[0] and vol >= final[1]
+
+    def test_boost_returns_a_new_schedule(self):
+        s = StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=100)
+        before = s.at(10)
+        assert s.boost(0.3, 10).at(10) != before
+        assert s.at(10) == before and s.start == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.start = 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -172,22 +198,21 @@ class TestFeeding:
     """The engine's feeding stage: running extremes, then normalized weights."""
 
     def test_hand_value(self):
-        extremes = RunningExtremes()
-        feed(np.array([0.0, 4.0]), extremes, 10.0)
+        extremes, _ = feed(np.array([0.0, 4.0]), RunningExtremes(), 10.0)
         # the extremes seen before still bound the range: 10 - 9 * (2 - 0) / 4
-        w = feed(np.array([2.0, 3.0]), extremes, 10.0)
+        _, w = feed(np.array([2.0, 3.0]), extremes, 10.0)
         assert w.tolist() == [5.5, 3.25]
 
     def test_zero_deltas_leave_weights(self):
         # a school whose scores never change keeps the start weights, w_scale / 2
         extremes = RunningExtremes()
         for _ in range(5):
-            assert np.array_equal(feed(np.full(3, 7.0), extremes, 10.0), np.full(3, 5.0))
+            extremes, w = feed(np.full(3, 7.0), extremes, 10.0)
+            assert np.array_equal(w, np.full(3, 5.0))
 
     def test_cap_at_scale(self):
-        extremes = RunningExtremes()
-        feed(np.array([1.0, 3.0]), extremes, 10.0)
-        w = feed(np.array([-5.0, 3.0]), extremes, 10.0)
+        extremes, _ = feed(np.array([1.0, 3.0]), RunningExtremes(), 10.0)
+        _, w = feed(np.array([-5.0, 3.0]), extremes, 10.0)
         assert w[0] == 10.0  # a new best maps exactly onto the cap
         assert w[1] == 1.0
 
@@ -195,7 +220,7 @@ class TestFeeding:
         rng = np.random.default_rng(7)
         extremes = RunningExtremes()
         for _ in range(200):
-            w = feed(rng.normal(size=6) * rng.exponential(5.0), extremes, 10.0)
+            extremes, w = feed(rng.normal(size=6) * rng.exponential(5.0), extremes, 10.0)
             assert np.all(w >= 1.0)
             assert np.all(w <= 10.0)
 
