@@ -36,6 +36,7 @@ from .problem import Problem, evaluate_many, feasible_many  # noqa: F401
 
 __all__ = [
     "PROBLEM_IDS",
+    "DATA_SOURCES",
     "DATA_ENV_VAR",
     "BenchDataError",
     "BenchProblem",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 PROBLEM_IDS = ("C01", "C03", "C04", "C06", "C07", "C08", "C09")
+DATA_SOURCES = ("files", "surrogate", "zero")
 DATA_ENV_VAR = "WRFSS_CEC2010_DATA"
 
 DIMENSION = 10
@@ -211,8 +213,6 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
             return (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1)
 
         equalities = (h_sin,)
-    else:
-        raise ValueError(f"unknown problem id {pid!r}; choose one of {PROBLEM_IDS}")
 
     return Problem(
         dimension=d,
@@ -268,6 +268,8 @@ def _read_data_file(pid: str, data_dir: Path) -> tuple[np.ndarray, np.ndarray | 
         values = np.array([float(tok) for tok in path.read_text().split()])
     except ValueError as exc:
         raise BenchDataError(f"corrupt benchmark data file: {path}") from exc
+    if not np.isfinite(values).all():
+        raise BenchDataError(f"corrupt benchmark data file: {path} (non-finite number)")
     d = DIMENSION
     need = d + d * d if pid in _ROTATED else d
     if values.size != need:
@@ -289,8 +291,8 @@ def resolve_source(
     used when a directory is known and the surrogate otherwise. The label is
     "files:<dir>", "surrogate" or "zero". Reads no data file.
     """
-    if source not in (None, "files", "surrogate", "zero"):
-        raise ValueError(f"source must be files, surrogate or zero, got {source!r}")
+    if source not in (None, *DATA_SOURCES):
+        raise ValueError(f"source must be one of {DATA_SOURCES}, got {source!r}")
     if data_dir is None and source in (None, "files"):
         data_dir = os.environ.get(DATA_ENV_VAR) or None
     if source is None:
@@ -308,8 +310,8 @@ def load_problem(
     pid: str,
     data_dir: str | Path | None = None,
     source: str | None = None,
-    delta: float = 1e-4,
-    violation_exponent: float = 1.0,
+    delta: float = Problem.delta,
+    violation_exponent: float = Problem.violation_exponent,
 ) -> BenchProblem:
     """Build one suite problem at 10D with the equality tolerance applied.
 
@@ -361,12 +363,12 @@ def feasible_ratio(problem: Problem, samples: int, seed: int = 0) -> float:
     for a given seed; standard error scales as 1/sqrt(samples).
     Equality-constrained problems give exactly zero for any finite sample.
 
-    The calling thread draws the samples in blocks from one generator, and
-    worker threads, one per CPU the process may use, score the blocks; so the
-    problem's functions are called from several threads at once and must be
-    safe to call that way, as the pure CEC functions are. The counts are added
-    in block order, and an error raised by a block reaches the caller
-    unchanged, from the first failing block in sample order.
+    The calling thread draws the samples in blocks from one generator, into
+    reused buffers, and worker threads, one per CPU the process may use, score
+    the blocks; so the problem's functions are called from several threads at
+    once and must be safe to call that way, as the pure CEC functions are. The
+    counts are added in block order, and an error raised by a block reaches
+    the caller unchanged, from the first failing block in sample order.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -374,6 +376,12 @@ def feasible_ratio(problem: Problem, samples: int, seed: int = 0) -> float:
     width = problem.range_width
     workers = _sampling_workers()
     pending = deque()  # scoring blocks in sample order, at most two per worker
+    # Block k is drawn into buffers[k % (2 * workers)], whose previous block
+    # k - 2 * workers has left ``pending`` by then. A fresh array per block
+    # made the allocator unmap or trim, then fault in, its pages block after
+    # block, as often as the process's allocation history happened to allow.
+    buffers = np.empty((2 * workers, _SAMPLE_BATCH, problem.dimension))
+    blocks = 0
     feasible = 0
     remaining = samples
     pool = ThreadPoolExecutor(workers)
@@ -381,7 +389,8 @@ def feasible_ratio(problem: Problem, samples: int, seed: int = 0) -> float:
         while remaining > 0 or pending:
             if remaining > 0 and len(pending) < 2 * workers:
                 n = min(_SAMPLE_BATCH, remaining)
-                pts = rng.random((n, problem.dimension))
+                pts = rng.random(out=buffers[blocks % len(buffers), :n])
+                blocks += 1
                 pts *= width
                 pts += problem.lower
                 pending.append(pool.submit(_count_feasible, problem, pts))
@@ -393,9 +402,7 @@ def feasible_ratio(problem: Problem, samples: int, seed: int = 0) -> float:
     return feasible / samples
 
 
-def write_data_dir(
-    path: str | Path, source: str = "surrogate", problems=PROBLEM_IDS
-) -> Path:
+def write_data_dir(path: str | Path, source: str = "surrogate") -> Path:
     """Write a data directory in the documented layout, with its manifest.
 
     Useful for tests and as a template when converting official data files.
@@ -405,7 +412,7 @@ def write_data_dir(
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     digests = {}
-    for pid in problems:
+    for pid in PROBLEM_IDS:
         shift, rotation = _fallback_data(pid, source)
         lines = [" ".join(repr(float(v)) for v in shift)]
         if rotation is not None:

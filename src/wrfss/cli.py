@@ -48,7 +48,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data-dir", help="benchmark data directory (official files)")
     sub.add_argument(
         "--data-source",
-        choices=["files", "surrogate", "zero"],
+        choices=cec2010.DATA_SOURCES,
         help="where shift/rotation data comes from (default: files if a directory is known, else surrogate)",
     )
     sub.add_argument("--out", help="output directory (default: config file, else out)")
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--samples", type=int, default=1_000_000)
     p_table.add_argument("--seed", type=int, default=7)
     p_table.add_argument("--data-dir")
-    p_table.add_argument("--data-source", choices=["files", "surrogate", "zero"])
+    p_table.add_argument("--data-source", choices=cec2010.DATA_SOURCES)
 
     subs.add_parser("presets", help="list the published protocol parameters")
     return parser
@@ -130,7 +130,8 @@ def _merge_config(
         args.parser.error("a problem and a variant are required (flags, preset, or config file)")
     if grid:
         pair = f"{kwargs['problem_id']}_{kwargs['variant']}"
-        kwargs["output_dir"] = str(Path(kwargs.get("output_dir", "out")) / pair)
+        default = harness.ExperimentConfig.output_dir
+        kwargs["output_dir"] = str(Path(kwargs.get("output_dir", default)) / pair)
     try:
         return harness.ExperimentConfig(**kwargs)
     except ValueError as exc:
@@ -222,12 +223,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_batch(args)
         if args.command == "table1":
             return _cmd_table1(args)
-        if args.command == "presets":
-            return _cmd_presets()
+        return _cmd_presets()  # argparse requires one of the four commands
     except (cec2010.BenchDataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

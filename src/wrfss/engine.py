@@ -41,7 +41,7 @@ from .niching import (
     leader_volitive_step,
     link_formator,
 )
-from .problem import EvaluationError, Problem, evaluate_many, violation_many
+from .problem import EvaluationError, Problem, _reject_non_finite, evaluate_many, violation_many
 from .school import StepSchedule, accept
 
 __all__ = [
@@ -60,7 +60,8 @@ VARIANT_KINDS = ("base", "epsilon", "gradient", "penalty")
 class Variant:
     """Which constraint-handling mechanism runs on top of the base engine.
 
-    Each parameter is read, and checked, only by the kind it belongs to.
+    Each parameter is read, and range-checked, only by the kind it belongs
+    to; a non-finite value is rejected in every kind.
 
     Epsilon: ``epsilon0`` fixes the starting tolerance; None derives it from
     the initial school violations. ``tc_fraction`` is the fraction of the
@@ -82,6 +83,7 @@ class Variant:
     perturbation: float | None = None
 
     def __post_init__(self):
+        _reject_non_finite(self)
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"variant kind must be one of {VARIANT_KINDS}, got {self.kind!r}")
         if self.kind == "epsilon":
@@ -102,7 +104,10 @@ class Variant:
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Engine parameters; step sizes are fractions of the per-dimension range."""
+    """Engine parameters; step sizes are fractions of the per-dimension range.
+
+    Every float parameter must be finite.
+    """
 
     n_fish: int = 30
     iterations: int = 5000
@@ -117,6 +122,7 @@ class EngineParams:
     sar_decay: float = 0.007
 
     def __post_init__(self):
+        _reject_non_finite(self)
         if self.n_fish < 1:
             raise ValueError(f"n_fish must be >= 1, got {self.n_fish}")
         if self.iterations < 0:
@@ -276,6 +282,22 @@ def _candidates(
     return np.minimum(out, upper, out=out)
 
 
+def _merge_best(
+    best: tuple[float, float, np.ndarray],
+    fitness: np.ndarray,
+    violation: np.ndarray,
+    positions: np.ndarray,
+) -> tuple[float, float, np.ndarray]:
+    """The feasibility-rules best ``(f, v, x)`` of the incumbent and the school.
+
+    The incumbent ranks ahead of the school, so a tie keeps it.
+    """
+    i = best_index(np.concatenate(([best[0]], fitness)), np.concatenate(([best[1]], violation)))
+    if i == 0:
+        return best
+    return float(fitness[i - 1]), float(violation[i - 1]), positions[i - 1].copy()
+
+
 def run(
     problem: Problem,
     variant: Variant = Variant(),
@@ -311,22 +333,12 @@ def run(
         e_vec = np.full(d, float(variant.perturbation))
 
     trace = []  # rows of (iteration, best fitness, best violation, phase, feasible count)
-    # The feasibility-rules best so far; NaN until the initial school is scored.
-    best_f = best_v = math.nan
-    best_x = np.full(d, math.nan)
+    best = (math.inf, math.inf, np.full(d, math.nan))  # the feasibility-rules best so far
     phase = 1  # so a school already feasible at t=0 gets one step boost
     eval_count = 0
     probe_count = 0
     aborted = False
     error = ""
-
-    def merge_best() -> None:
-        # The school's best replaces the incumbent only when strictly better.
-        nonlocal best_f, best_v, best_x
-        i = best_index(fitness, violation)
-        f, v = float(fitness[i]), float(violation[i])
-        if v < best_v if best_v > 0.0 else (v == 0.0 and f < best_f):
-            best_f, best_v, best_x = f, v, positions[i].copy()
 
     positions = lower + rng.random((n, d)) * width
     weights = np.full(n, params.w_scale / 2.0)
@@ -337,9 +349,7 @@ def run(
     try:
         fitness, violation = evaluate_many(problem, positions)
         eval_count += n
-        i = best_index(fitness, violation)
-        best_f, best_v = float(fitness[i]), float(violation[i])
-        best_x = positions[i].copy()
+        best = _merge_best(best, fitness, violation, positions)
         links = LinkGraph.empty(n)
 
         eps_schedule = None
@@ -350,7 +360,7 @@ def run(
             cutoff = int(round(variant.tc_fraction * params.iterations))
             eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
 
-        trace.append((0, best_f, best_v, decide_phase(violation, params.sigma),
+        trace.append((0, best[0], best[1], decide_phase(violation, params.sigma),
                       np.count_nonzero(violation == 0.0)))
 
         for t in range(params.iterations):
@@ -374,7 +384,7 @@ def run(
             batch_fitness, batch_violation = evaluate_many(problem, batch)
             eval_count += 2 * n
             fitness, violation = batch_fitness[:n], batch_violation[:n]
-            merge_best()
+            best = _merge_best(best, fitness, violation, positions)
 
             new_phase = decide_phase(violation, params.sigma)
             if new_phase == 2 and phase == 1:
@@ -407,7 +417,7 @@ def run(
                 accepted, candidates, cand_fitness, cand_violation, active - cand_active,
                 positions, fitness, violation,
             )
-            merge_best()
+            best = _merge_best(best, fitness, violation, positions)
 
             # Feeding: normalize the active objective against its running extremes.
             active = _active_objective(fitness, violation, phase, variant)
@@ -428,7 +438,7 @@ def run(
                 rng.random((n, d)), lower, upper,
             )
 
-            trace.append((t + 1, best_f, best_v, phase, np.count_nonzero(violation == 0.0)))
+            trace.append((t + 1, best[0], best[1], phase, np.count_nonzero(violation == 0.0)))
             if observer is not None:
                 views = [a.view() for a in (positions, weights, fitness, violation, links.leader)]
                 for view in views:
@@ -439,6 +449,7 @@ def run(
         error = str(exc)
 
     iteration, trace_f, trace_v, trace_phase, feasible_count = zip(*trace) if trace else [()] * 5
+    best_f, best_v, best_x = best if trace else (math.nan, math.nan, best[2])
     return RunRecord(
         seed=seed,
         variant_kind=variant.kind,

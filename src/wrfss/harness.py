@@ -68,9 +68,9 @@ class ExperimentConfig:
     """Everything needed to reproduce a batch; all fields are primitives.
 
     The field names are the manifest schema and the keys of a ``--config``
-    file. Each engine field carries the name of the ``EngineParams`` or
-    ``Variant`` field it feeds, and the CLI flags are derived from the field
-    names.
+    file. Each engine or problem field carries the name and the default of
+    the ``EngineParams``, ``Variant`` or ``Problem`` field it feeds, and the
+    CLI flags are derived from the field names.
     """
 
     problem_id: str
@@ -80,25 +80,25 @@ class ExperimentConfig:
     output_dir: str = "out"
     data_dir: str | None = None
     data_source: str | None = None
-    delta: float = 1e-4
-    violation_exponent: float = 1.0
-    n_fish: int = 30
-    iterations: int = DESK_ITERATIONS
-    sigma: float = 0.05
-    tau: float = 0.01
-    w_scale: float = 5000.0
-    step_ind_initial: float = 0.10
-    step_ind_final: float = 0.0001
-    step_vol_initial: float = 0.20
-    step_vol_final: float = 0.0002
-    sar_alpha0: float = 0.8
-    sar_decay: float = 0.007
-    tc_fraction: float = 0.60
-    cp_min: float = 3.0
-    epsilon0: float | None = None
-    p_g: float = 0.10
-    k_directions: int = 200
-    perturbation: float | None = None
+    delta: float = Problem.delta
+    violation_exponent: float = Problem.violation_exponent
+    n_fish: int = EngineParams.n_fish
+    iterations: int = EngineParams.iterations
+    sigma: float = EngineParams.sigma
+    tau: float = EngineParams.tau
+    w_scale: float = EngineParams.w_scale
+    step_ind_initial: float = EngineParams.step_ind_initial
+    step_ind_final: float = EngineParams.step_ind_final
+    step_vol_initial: float = EngineParams.step_vol_initial
+    step_vol_final: float = EngineParams.step_vol_final
+    sar_alpha0: float = EngineParams.sar_alpha0
+    sar_decay: float = EngineParams.sar_decay
+    tc_fraction: float = Variant.tc_fraction
+    cp_min: float = Variant.cp_min
+    epsilon0: float | None = Variant.epsilon0
+    p_g: float = Variant.p_g
+    k_directions: int = Variant.k_directions
+    perturbation: float | None = Variant.perturbation
 
     def __post_init__(self):
         if self.variant not in VARIANT_NAMES:
@@ -156,9 +156,9 @@ def paper_preset(
     problem_id: str,
     variant: str,
     desk: bool = False,
-    run_count: int = 30,
-    base_seed: int = 1000,
-    output_dir: str = "out",
+    run_count: int = ExperimentConfig.run_count,
+    base_seed: int = ExperimentConfig.base_seed,
+    output_dir: str = ExperimentConfig.output_dir,
 ) -> ExperimentConfig:
     """Published protocol parameters for one problem/variant pair.
 
@@ -189,13 +189,9 @@ def paper_preset(
     )
 
 
-def list_presets(desk: bool = False) -> list[ExperimentConfig]:
+def list_presets() -> list[ExperimentConfig]:
     """All problem/variant preset combinations."""
-    return [
-        paper_preset(pid, variant, desk=desk)
-        for pid in cec2010.PROBLEM_IDS
-        for variant in VARIANT_NAMES
-    ]
+    return [paper_preset(pid, variant) for pid in cec2010.PROBLEM_IDS for variant in VARIANT_NAMES]
 
 
 @dataclass(frozen=True)
@@ -306,6 +302,22 @@ def _write_trace(path: Path, record: RunRecord) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float inside its dicts and lists replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as strict JSON, a non-finite float as null."""
+    path.write_text(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def emit_reports(
     config: ExperimentConfig,
     stats: SummaryStats,
@@ -342,9 +354,9 @@ def emit_reports(
         "runs": [
             {
                 "seed": r.seed,
-                "best_fitness": None if math.isnan(r.best_fitness) else r.best_fitness,
-                "best_violation": None if math.isnan(r.best_violation) else r.best_violation,
-                "feasible": bool(r.best_violation == 0.0),
+                "best_fitness": r.best_fitness,
+                "best_violation": r.best_violation,
+                "feasible": r.best_feasible,
                 "eval_count": r.eval_count,
                 "probe_count": r.probe_count,
                 "aborted": r.aborted,
@@ -355,7 +367,7 @@ def emit_reports(
         "reference_fitness": reference,
     }
     summary_json = out / "summary.json"
-    summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(summary_json, summary)
     paths["summary_json"] = summary_json
 
     lines = [
@@ -389,7 +401,7 @@ def emit_reports(
         "resolved_data_source": data_source,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(manifest_path, manifest)
     paths["manifest"] = manifest_path
     return paths
 

@@ -13,7 +13,8 @@ with p the violation exponent. It is zero exactly on the relaxed feasible set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -39,6 +40,14 @@ class EvaluationError(RuntimeError):
         where = kind if index is None else f"{kind}[{index}]"
         name = f" of problem {problem_name!r}" if problem_name else ""
         super().__init__(f"non-finite value from {where}{name}")
+
+
+def _reject_non_finite(instance) -> None:
+    """Raise ValueError naming the first float field of a dataclass that is not finite."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,7 @@ class Problem:
             raise ValueError("bounds must be 1-D arrays of length `dimension`")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        _reject_non_finite(self)
         if self.equalities and not self.delta > 0.0:
             raise ValueError("delta must be positive when equality constraints are present")
         if not self.delta >= 0.0:

@@ -27,9 +27,10 @@ class StepSchedule:
     """Linearly decaying step sizes, expressed as fractions of the box range.
 
     ``at(t)`` interpolates from the initial values at iteration ``start`` down
-    to the final values at the horizon; past the horizon it stays at the final
-    values. ``boost(tau, t)`` returns the schedule that starts at ``t`` from
-    the current values times (1 + tau), with the same endpoint.
+    to the final values at the horizon; up to ``start`` it stays at the
+    initial values, and from the horizon on at the final values. ``start``
+    lies in [0, horizon]. ``boost(tau, t)`` returns the schedule that starts
+    at ``t`` from the current values times (1 + tau), with the same endpoint.
     """
 
     step_ind_initial: float
@@ -42,6 +43,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        if not 0 <= self.start <= self.horizon:
+            raise ValueError(f"start must lie in [0, {self.horizon}], got {self.start}")
         for name in ("step_ind", "step_vol"):
             initial, final = getattr(self, f"{name}_initial"), getattr(self, f"{name}_final")
             if not initial >= final >= 0.0:
@@ -52,8 +55,9 @@ class StepSchedule:
     def at(self, t: int) -> tuple[float, float]:
         if t >= self.horizon:
             return self.step_ind_final, self.step_vol_final
+        if t <= self.start:
+            return self.step_ind_initial, self.step_vol_initial
         frac = (t - self.start) / (self.horizon - self.start)
-        frac = min(max(frac, 0.0), 1.0)
         return (
             self.step_ind_initial + (self.step_ind_final - self.step_ind_initial) * frac,
             self.step_vol_initial + (self.step_vol_final - self.step_vol_initial) * frac,

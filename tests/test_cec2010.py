@@ -391,6 +391,11 @@ class TestDataFiles:
         with pytest.raises(BenchDataError, match="C01.txt"):
             load_problem("C01", data_dir=tmp_path)
 
+    def test_non_finite_number_is_corrupt(self, tmp_path):
+        (tmp_path / "C07.txt").write_text(" ".join(["nan"] * DIMENSION) + "\n")
+        with pytest.raises(BenchDataError, match="C07.txt"):
+            load_problem("C07", data_dir=tmp_path)
+
     def test_checksum_mismatch_detected(self, tmp_path):
         data = write_data_dir(tmp_path / "data", source="zero")
         target = data / "C01.txt"

@@ -75,6 +75,8 @@ class TestRunCommand:
         ([], '{"step_vol_initial": 0.0001}'),
         (["--variant", "wrfsse"], '{"cp_min": 0}'),
         (["--variant", "wrfssg"], '{"k_directions": 0}'),
+        (["--w-scale", "inf"], ""),
+        ([], '{"tau": Infinity}'),
     ])
     def test_bad_engine_parameter_is_usage_error(self, tmp_path, capsys, flags, config):
         args = ["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "5",

@@ -469,6 +469,39 @@ class TestRun:
             with pytest.raises(ValueError, match="step_"):
                 EngineParams(**bad)
 
+    @pytest.mark.parametrize("cls, name, value", [
+        (EngineParams, "w_scale", math.inf),
+        (EngineParams, "sar_decay", math.inf),
+        (EngineParams, "tau", math.nan),
+        (EngineParams, "tau", math.inf),
+        (EngineParams, "step_ind_initial", math.inf),
+        (Variant, "epsilon0", math.inf),
+        (Variant, "cp_min", math.inf),
+        (Variant, "perturbation", math.inf),
+        (Variant, "tc_fraction", math.nan),
+    ])
+    def test_non_finite_parameter_rejected(self, cls, name, value):
+        # in every variant kind, not only the one that reads the parameter
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_flat_objective_keeps_first_fish(self, seed, monkeypatch):
+        # every fish ties under the feasibility rules, so the incumbent, the
+        # first fish of the initial school, is never replaced
+        scored = []
+
+        def scoring(problem, points):
+            scored.append(np.array(points))
+            return evaluate_many(problem, points)
+
+        monkeypatch.setattr(engine, "evaluate_many", scoring)
+        flat = Problem(dimension=3, lower=np.full(3, -1.0), upper=np.full(3, 1.0),
+                       objective=lambda x: np.zeros(x.shape[0]))
+        rec = run(flat, Variant("base"), EngineParams(n_fish=6, iterations=15), seed=seed)
+        assert np.array_equal(rec.best_position, scored[0][0])
+        assert (rec.best_fitness, rec.best_violation) == (0.0, 0.0)
+
     def test_gradient_variant_defaults_probe(self):
         v = Variant("gradient")
         assert v.k_directions == 200

@@ -193,6 +193,27 @@ class TestRunBatch:
 
 
 class TestReports:
+    def test_all_runs_aborted_writes_strict_json(self, tmp_path):
+        # a missing statistic is null, as a per-run value is, so a strict
+        # parser reads the summary
+        problem = Problem(dimension=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0),
+                          objective=lambda x: np.full(x.shape[0], np.nan))
+        config = tiny_config(tmp_path, run_count=2)
+        stats, records = run_batch(config, problem=problem)
+        assert stats.completed_runs == 0
+        paths = emit_reports(config, stats, records)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for name in ("summary_json", "manifest"):
+            json.loads(paths[name].read_text(), parse_constant=reject)
+        summary = json.loads(paths["summary_json"].read_text())
+        assert summary["stats"]["fitness_mean"] is None
+        assert summary["stats"]["violation_max"] is None
+        assert summary["runs"][0]["best_fitness"] is None
+        assert summary["runs"][0]["feasible"] is False
+
     def test_emitted_files(self, tmp_path):
         config = tiny_config(tmp_path)
         stats, records = run_batch(config)

@@ -93,6 +93,14 @@ def test_feasible_iff_zero_violation():
     assert np.array_equal(v == 0.0, xs <= 0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("delta", np.inf), ("delta", np.nan), ("violation_exponent", np.inf),
+])
+def test_non_finite_problem_parameter_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        box(1, -1, 1, objective=lambda x: x[:, 0], **{name: value})
+
+
 def test_evaluate_is_pure(simple):
     x = [1.5, 0.4]
     assert at(simple, x) == at(simple, x)

@@ -105,6 +105,18 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=-1)
 
+    @pytest.mark.parametrize("start", [-1, 11])
+    def test_start_must_lie_within_horizon(self, start):
+        with pytest.raises(ValueError, match="start"):
+            StepSchedule(0.1, 0.0, 0.2, 0.0, horizon=10, start=start)
+
+    def test_boost_at_horizon_holds_boosted_steps_before_it(self):
+        s = EngineParams(iterations=100).step_schedule().boost(0.3, 100)
+        assert s.start == 100
+        boosted = (s.step_ind_initial, s.step_vol_initial)
+        assert s.at(0) == s.at(50) == s.at(99) == boosted
+        assert s.at(100) == (s.step_ind_final, s.step_vol_final)
+
 
 class TestIndividualMovement:
     """Acceptance of the individual movement through accept()."""
