@@ -36,6 +36,7 @@ from .problem import Problem, evaluate_many, feasible_many  # noqa: F401
 
 __all__ = [
     "PROBLEM_IDS",
+    "EQUALITY_CONSTRAINED",
     "DATA_SOURCES",
     "DATA_ENV_VAR",
     "BenchDataError",
@@ -64,6 +65,9 @@ _TABLE1 = {
     "C08": (-140.0, 140.0, 0, 1, 0.379512),
     "C09": (-500.0, 500.0, 1, 0, 0.000000),
 }
+
+# The problems with at least one equality constraint.
+EQUALITY_CONSTRAINED = frozenset(pid for pid, row in _TABLE1.items() if row[2])
 
 _ROTATED = {"C06", "C08"}
 

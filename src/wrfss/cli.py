@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    run      one experiment (single seed) from flags and/or a config file
+    run      a batch of one seeded run per problem/variant pair
     batch    a grid of problems x variants, many seeds each
     table1   Monte Carlo estimate of the feasible-region ratios
     presets  list the published per-problem protocol parameters
@@ -38,7 +38,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--preset", choices=["paper"], help="use the published protocol parameters")
     sub.add_argument(
-        "--desk", action="store_true", help="scale the preset budget down to 5000 iterations"
+        "--desk", action="store_true",
+        help=f"scale the preset budget down to {harness.DESK_ITERATIONS} iterations",
     )
     sub.add_argument(
         "--config",
@@ -51,9 +52,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         choices=cec2010.DATA_SOURCES,
         help="where shift/rotation data comes from (default: files if a directory is known, else surrogate)",
     )
-    sub.add_argument("--out", help="output directory (default: config file, else out)")
+    sub.add_argument("--out", help=_from_file_else("output directory", "output_dir"))
     for name in _OVERRIDE_FIELDS:
         sub.add_argument("--" + name.replace("_", "-"), type=harness.FIELD_TYPES[name])
+
+
+def _from_file_else(what: str, field: str) -> str:
+    """A help text whose default is the config file's value, else the field's default."""
+    return f"{what} (default: config file, else {getattr(harness.ExperimentConfig, field)})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,19 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     # Each subcommand's parser reports the usage errors found after parsing.
+    # `run` is a batch of one run per pair, without the batch-only flags.
     p_run = subs.add_parser("run", help="run one experiment with a single seed")
-    p_run.set_defaults(parser=p_run)
+    p_run.set_defaults(parser=p_run, runs=1, jobs=1, problems=None, variants=None)
     _add_common(p_run)
-    p_run.add_argument("--seed", type=int, help="run seed (default: config file, else 1000)")
+    p_run.add_argument(
+        "--seed", type=int, dest="base_seed", metavar="SEED",
+        help=_from_file_else("run seed", "base_seed"),
+    )
 
     p_batch = subs.add_parser("batch", help="run a problem x variant grid")
     p_batch.set_defaults(parser=p_batch)
     _add_common(p_batch)
     p_batch.add_argument("--problems", help="comma-separated problem ids (overrides --problem)")
     p_batch.add_argument("--variants", help="comma-separated variants (overrides --variant)")
-    p_batch.add_argument("--runs", type=int, help="runs per pair (default: config file, else 30)")
+    p_batch.add_argument("--runs", type=int, help=_from_file_else("runs per pair", "run_count"))
     p_batch.add_argument(
-        "--base-seed", type=int, help="seed of the first run (default: config file, else 1000)"
+        "--base-seed", type=int, help=_from_file_else("seed of the first run", "base_seed")
     )
     p_batch.add_argument("--jobs", type=int, default=1, help="worker processes per batch")
 
@@ -149,15 +159,6 @@ def _execute_batch(config: harness.ExperimentConfig, jobs: int) -> None:
     print(f"reports written to {Path(config.output_dir).resolve()}")
 
 
-def _cmd_run(args) -> int:
-    config = _merge_config(args, dict(
-        problem_id=args.problem, variant=args.variant,
-        run_count=1, base_seed=args.seed, output_dir=args.out,
-    ))
-    _execute_batch(config, jobs=1)
-    return 0
-
-
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -217,9 +218,7 @@ def _cmd_presets() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "batch":
+        if args.command in ("run", "batch"):
             return _cmd_batch(args)
         if args.command == "table1":
             return _cmd_table1(args)

@@ -224,24 +224,28 @@ class _Moves(NamedTuple):
     fractions: np.ndarray | None = None
 
 
-def _probe_moves(
+def _draw_moves(
     rng: np.random.Generator,
     positions: np.ndarray,
     variant: Variant,
     problem: Problem,
     e: np.ndarray,
 ) -> _Moves:
-    """The draws of the probability-gated probe, and the probes' gradients.
+    """The draws of one individual movement, and the probes' gradients.
 
-    A fish whose gate draw falls below the variant's ``p_g`` probes; every
-    other fish takes the plain uniform step. The random numbers are drawn fish
-    by fish, in index order, as if each fish were handled alone: one uniform
+    A variant that cannot probe (not gradient, or ``p_g`` 0) draws no gate:
+    its school takes one plain uniform block, the base variant's stream. With
+    a gate, a fish whose gate draw falls below ``p_g`` probes; every other
+    fish takes the plain uniform step. The random numbers are drawn fish by
+    fish, in index order, as if each fish were handled alone: one uniform
     block per run of plain fish, and the ``k_directions`` normal samples then
     the step fraction of each probing fish. No draw depends on a score, so the
     D+1 forward-difference rows (steps ``e``) of all p probing fish are scored
     afterwards in one ``violation_many`` call of p * (D+1) rows.
     """
     n, d = positions.shape
+    if variant.kind != "gradient" or variant.p_g == 0.0:
+        return _Moves(rng.uniform(-1.0, 1.0, (n, d)))
     probing = np.flatnonzero(rng.random(n) < variant.p_g)
     offsets = np.zeros((n, d))
     normals = np.empty((probing.size, variant.k_directions, d))
@@ -326,7 +330,6 @@ def run(
 
     schedule = params.step_schedule()
     extremes = {1: RunningExtremes(), 2: RunningExtremes()}
-    use_probe = variant.kind == "gradient" and variant.p_g > 0.0
     if variant.perturbation is None:
         e_vec = 1e-6 * width
     else:
@@ -341,6 +344,8 @@ def run(
     error = ""
 
     positions = lower + rng.random((n, d)) * width
+    batch = np.empty((2 * n, d))  # the school, then its candidates, scored in one call
+    candidates = batch[n:]
     weights = np.full(n, params.w_scale / 2.0)
     # The volitive move contracts when the total weight grew since the
     # previous iteration, and expands otherwise; the first compares with the
@@ -367,51 +372,44 @@ def run(
             # Individual movement: first every random number it draws, and the
             # gradient probes, which need no score of the school; then the
             # candidates for the previous iteration's phase and un-boosted step.
-            if use_probe:
-                moves = _probe_moves(rng, positions, variant, problem, e_vec)
-                probe_count += moves.probing.size
-                eval_count += moves.probing.size * (d + 1)
-            else:
-                moves = _Moves(rng.uniform(-1.0, 1.0, (n, d)))
+            moves = _draw_moves(rng, positions, variant, problem, e_vec)
+            probe_count += moves.probing.size
+            eval_count += moves.probing.size * (d + 1)
             step_ind_frac, step_vol_frac = schedule.at(t)
-            batch = np.empty((2 * n, d))
             batch[:n] = positions
-            candidates = _candidates(
-                positions, moves, phase, step_ind_frac * width, lower, upper, batch[n:]
-            )
+            _candidates(positions, moves, phase, step_ind_frac * width, lower, upper, candidates)
             # One call scores the school, unscored since the collective
             # movements of the previous iteration, and the candidates.
             batch_fitness, batch_violation = evaluate_many(problem, batch)
             eval_count += 2 * n
-            fitness, violation = batch_fitness[:n], batch_violation[:n]
-            best = _merge_best(best, fitness, violation, positions)
+            best = _merge_best(best, batch_fitness[:n], batch_violation[:n], positions)
 
-            new_phase = decide_phase(violation, params.sigma)
-            if new_phase == 2 and phase == 1:
-                schedule = schedule.boost(params.tau, t)
+            new_phase = decide_phase(batch_violation[:n], params.sigma)
             if new_phase != phase and (new_phase == 2 or moves.probing.size):
                 # Rebuild the candidates from the same draws for the new phase
                 # (and step, boosted on a switch to phase 2), and re-score the
                 # batch so they keep the rounding of a 2n-row call. A switch to
                 # phase 1 with no probing fish boosts nothing and picks no
                 # direction, so the candidates already scored stand.
+                if new_phase == 2:
+                    schedule = schedule.boost(params.tau, t)
                 step_ind_frac, step_vol_frac = schedule.at(t)
                 _candidates(
                     positions, moves, new_phase, step_ind_frac * width, lower, upper, candidates
                 )
                 batch_fitness, batch_violation = evaluate_many(problem, batch)
             phase = new_phase
-            cand_fitness, cand_violation = batch_fitness[n:], batch_violation[n:]
-            step_vol = step_vol_frac * width
-            alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)
-            eps = eps_schedule.value_at(t) if eps_schedule is not None else 0.0
-            active = _active_objective(fitness, violation, phase, variant)
-
-            cand_active = _active_objective(cand_fitness, cand_violation, phase, variant)
+            fitness, cand_fitness = batch_fitness[:n], batch_fitness[n:]
+            violation, cand_violation = batch_violation[:n], batch_violation[n:]
+            batch_active = _active_objective(batch_fitness, batch_violation, phase, variant)
+            active, cand_active = batch_active[:n], batch_active[n:]
             if variant.kind == "epsilon":
-                better = epsilon_less_arrays(cand_fitness, cand_violation, fitness, violation, eps)
+                better = epsilon_less_arrays(
+                    cand_fitness, cand_violation, fitness, violation, eps_schedule.value_at(t)
+                )
             else:
                 better = cand_active < active
+            alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)
             accepted = better | (rng.random(n) < alpha)
             positions, fitness, violation, delta_x, delta_f = accept(
                 accepted, candidates, cand_fitness, cand_violation, active - cand_active,
@@ -434,7 +432,7 @@ def run(
             links = link_formator(weights, links, rng)
             previous_total, total_weight = total_weight, float(weights.sum())
             positions = leader_volitive_step(
-                positions, weights, links, step_vol, total_weight > previous_total,
+                positions, weights, links, step_vol_frac * width, total_weight > previous_total,
                 rng.random((n, d)), lower, upper,
             )
 

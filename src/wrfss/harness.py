@@ -51,9 +51,6 @@ VARIANT_NAMES = {
 PAPER_ITERATIONS = 80000
 DESK_ITERATIONS = 5000
 
-# The equality-constrained problems get a sharper epsilon decay (cp_min 8
-# instead of 3) and fewer probe directions (50 instead of 200).
-_EQUALITY_CONSTRAINED = {"C03", "C04", "C06", "C09"}
 # (sigma, tau) per variant.
 _PRESET_SIGMA_TAU = {
     "wrfss": (0.05, 0.01),
@@ -172,7 +169,9 @@ def paper_preset(
             f"unknown problem id {problem_id!r}; choose one of {cec2010.PROBLEM_IDS}"
         )
     sigma, tau = _PRESET_SIGMA_TAU[variant]
-    cp_min, k_directions = (8.0, 50) if problem_id in _EQUALITY_CONSTRAINED else (3.0, 200)
+    # The equality-constrained problems get a sharper epsilon decay (cp_min 8
+    # instead of 3) and fewer probe directions (50 instead of 200).
+    cp_min, k_directions = (8.0, 50) if problem_id in cec2010.EQUALITY_CONSTRAINED else (3.0, 200)
     return ExperimentConfig(
         problem_id=problem_id,
         variant=variant,

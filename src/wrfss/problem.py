@@ -8,7 +8,9 @@ violation measure,
 
     violation(x) = sum_j max(0, g_j(x))**p + sum_j max(0, |h_j(x)| - delta)**p,
 
-with p the violation exponent. It is zero exactly on the relaxed feasible set.
+with p the violation exponent. It is zero exactly on the relaxed feasible set,
+and finite: a breach whose p-th power underflows counts as the smallest
+subnormal float, and one whose p-th power overflows raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -26,20 +28,30 @@ BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 class EvaluationError(RuntimeError):
-    """A problem function returned a non-finite value.
+    """A problem function returned a non-finite value, or a violation term overflowed.
 
     Attributes:
         kind: one of "objective", "inequality", "equality".
         index: 0-based index within the constraint group (None for objective).
+        exponent: the violation exponent whose power of a finite breach
+            overflowed, or None when the function's own value was non-finite.
     """
 
-    def __init__(self, kind: str, index: int | None, problem_name: str = ""):
+    def __init__(
+        self, kind: str, index: int | None, problem_name: str = "", exponent: float | None = None
+    ):
         self.kind = kind
         self.index = index
         self.problem_name = problem_name
+        self.exponent = exponent
         where = kind if index is None else f"{kind}[{index}]"
         name = f" of problem {problem_name!r}" if problem_name else ""
-        super().__init__(f"non-finite value from {where}{name}")
+        if exponent is None:
+            super().__init__(f"non-finite value from {where}{name}")
+        else:
+            super().__init__(
+                f"violation term of {where}{name} overflows at violation_exponent {exponent:g}"
+            )
 
 
 def _reject_non_finite(instance) -> None:
@@ -145,14 +157,26 @@ def _constraints(problem: Problem) -> Iterator[tuple[str, int, BatchFn]]:
 
 
 def _term(problem: Problem, kind: str, index: int, fn: BatchFn, points: np.ndarray) -> np.ndarray:
-    """One constraint's violation term per row: max(0, g)**p, or max(0, |h| - delta)**p."""
+    """One constraint's violation term per row: max(0, g)**p, or max(0, |h| - delta)**p.
+
+    A term is zero exactly where the row satisfies the constraint, and finite:
+    a breach whose power overflows raises EvaluationError naming the
+    constraint and p, and one whose power underflows to zero is floored at
+    the smallest subnormal float.
+    """
     values = _values(fn, points, kind, index, problem.name)
     if kind == "equality":
         values = np.abs(values) - problem.delta
-    terms = np.maximum(0.0, values)
-    if problem.violation_exponent != 1.0:
-        terms = terms**problem.violation_exponent
-    return terms
+    breach = np.maximum(0.0, values)
+    if problem.violation_exponent == 1.0:
+        return breach
+    p = problem.violation_exponent
+    try:
+        with np.errstate(over="raise"):
+            terms = breach**p
+    except FloatingPointError:
+        raise EvaluationError(kind, index, problem.name, exponent=p) from None
+    return np.where((terms == 0.0) & (breach > 0.0), np.finfo(float).smallest_subnormal, terms)
 
 
 def violation_many(problem: Problem, points: np.ndarray) -> np.ndarray:
@@ -163,7 +187,7 @@ def violation_many(problem: Problem, points: np.ndarray) -> np.ndarray:
     ``evaluate_many``. Raises ValueError when ``points`` is not (n,
     dimension) or a constraint does not return shape (n,), and
     EvaluationError, naming the constraint, when one returns a non-finite
-    value.
+    value or its breach overflows when raised to p.
     """
     points = _checked_points(problem, points)
     violation = np.zeros(points.shape[0])

@@ -28,10 +28,12 @@ def probe_candidates(violation_rows, positions, phase, step_ind, variant, e, rng
     draws and normalizes ``k_directions`` normal samples, picks the one with
     the smallest (phase 1) or smallest absolute (phase 2) directional
     derivative, and steps step_ind * rand(0, 1) along it; every other fish
-    takes the plain uniform step. Candidates are clipped into the box.
+    takes the plain uniform step. At ``p_g = 0`` no gate is drawn, as the
+    engine draws none for a variant that cannot probe. Candidates are clipped
+    into the box.
     """
     n, d = positions.shape
-    gate = rng.random(n)
+    gate = rng.random(n) if variant.p_g > 0.0 else np.ones(n)
     candidates = np.empty_like(positions)
     for i in range(n):
         x = positions[i]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wrfss import cec2010
+from wrfss import cec2010, harness
 from wrfss.cli import _build_parser, main
 
 
@@ -54,6 +54,30 @@ class TestRunCommand:
         assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
         after = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
         assert before == after
+
+    def test_run_is_one_run_batch(self, tmp_path):
+        # `run` and `batch --runs 1` with the same flags write the same files.
+        out = tmp_path / "out"
+        flags = ["--problem", "C07", "--variant", "wrfssg", "--iterations", "30",
+                 "--n-fish", "6", "--p-g", "0.5", "--k-directions", "4", "--out", str(out)]
+        names = ("trace_run000.csv", "summary.json", "manifest.json")
+        assert run_cli(["run", *flags, "--seed", "5"]) == 0
+        ran = {name: (out / name).read_bytes() for name in names}
+        assert run_cli(["batch", *flags, "--base-seed", "5", "--runs", "1"]) == 0
+        assert ran == {name: (out / name).read_bytes() for name in names}
+
+    def test_problem_list_runs_each_pair_once(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--problem", "C01,C07", "--variant", "wrfss",
+                        "--iterations", "5", "--n-fish", "4", "--seed", "3",
+                        "--out", str(out)]) == 0
+        for pid in ("C01", "C07"):
+            pair = out / f"{pid}_wrfss"
+            assert sorted(p.name for p in pair.glob("trace_run*.csv")) == ["trace_run000.csv"]
+            manifest = json.loads((pair / "manifest.json").read_text())
+            assert manifest["seeds"] == [3]
+            assert manifest["config"]["problem_id"] == pid
+        assert not (out / "manifest.json").exists()
 
     def test_missing_problem_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -414,6 +438,21 @@ class TestParameterSurface:
         types = {o: a.type for a in subs.choices[command]._actions for o in a.option_strings}
         assert set(types) == COMMON_FLAGS | own | set(OVERRIDE_FLAGS)
         assert {flag: types[flag] for flag in OVERRIDE_FLAGS} == OVERRIDE_FLAGS
+
+    @pytest.mark.parametrize("field, command, flag", [
+        ("run_count", "batch", "--runs"),
+        ("base_seed", "batch", "--base-seed"),
+        ("base_seed", "run", "--seed"),
+        ("output_dir", "run", "--out"),
+    ])
+    def test_help_takes_defaults_from_their_owners(self, monkeypatch, field, command, flag):
+        monkeypatch.setattr(harness, "DESK_ITERATIONS", 1234)
+        monkeypatch.setattr(harness.ExperimentConfig, field, "patched-default")
+        parser = _build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {o: a.help for a in subs.choices[command]._actions for o in a.option_strings}
+        assert helps[flag].endswith("else patched-default)")
+        assert "1234 iterations" in helps["--desk"]
 
     def test_override_flags_parse_by_type(self):
         parser = _build_parser()

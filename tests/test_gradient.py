@@ -3,7 +3,7 @@ import pytest
 
 from wrfss import engine
 from wrfss.cec2010 import load_problem
-from wrfss.engine import EngineParams, Variant, _candidates, _probe_moves, run
+from wrfss.engine import EngineParams, Variant, _candidates, _draw_moves, run
 from wrfss.gradient import forward_gradient, pick_direction
 from wrfss.problem import Problem, evaluate_many, violation_many
 from wrfss.school import accept
@@ -121,7 +121,7 @@ class TestPickDirection:
 
 def probe_candidates_of_engine(problem, positions, phase, step_ind, variant, e, rng):
     """The engine's probe-gated candidates: its draws and probes, then its candidates."""
-    moves = _probe_moves(rng, positions, variant, problem, e)
+    moves = _draw_moves(rng, positions, variant, problem, e)
     return _candidates(positions, moves, phase, step_ind, problem.lower, problem.upper,
                        np.empty_like(positions))
 
@@ -150,14 +150,13 @@ class TestProbeMove:
         problem = box(3, objective=lambda x: (x**2).sum(axis=-1))
         positions = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]])
         variant = Variant("gradient", k_directions=5, p_g=0.0)
-        out, calls = self.candidates(problem, positions, 1, 0.5, variant,
-                                     np.random.default_rng(77))
+        rng = np.random.default_rng(77)
+        out, calls = self.candidates(problem, positions, 1, 0.5, variant, rng)
         assert calls == []
-        # after the gate draws, each fish takes the plain uniform step
+        # no gate is drawn: the school takes one plain uniform block
         twin = np.random.default_rng(77)
-        twin.random(2)
-        for i in range(2):
-            assert np.array_equal(out[i], positions[i] + twin.uniform(-1.0, 1.0, 3) * 0.5)
+        assert np.array_equal(out, positions + twin.uniform(-1.0, 1.0, (2, 3)) * 0.5)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_probe_descends_linear_violation(self):
         # violation decreasing in x0: the probe should step toward lower x0

@@ -334,6 +334,48 @@ class TestFeasibleMany:
             feasible_many(p, np.zeros((4, 2)))
 
 
+class TestViolationExponentLimits:
+    """A violation term is zero exactly on the feasible rows, and finite."""
+
+    @staticmethod
+    def steep(exponent=400.0):
+        return box(2, -100, 100, objective=lambda x: x[:, 0],
+                   inequalities=(lambda x: x[:, 1],), violation_exponent=exponent)
+
+    @staticmethod
+    def violation(scorer, p, pts):
+        return scorer(p, pts)[1] if scorer is evaluate_many else scorer(p, pts)
+
+    @pytest.mark.parametrize("scorer", [evaluate_many, violation_many, feasible_many])
+    def test_overflow_is_an_evaluation_error(self, scorer):
+        with pytest.raises(EvaluationError) as err:
+            scorer(self.steep(), np.array([[0.0, -1.0], [1.0, 50.0]]))
+        assert (err.value.kind, err.value.index, err.value.exponent) == ("inequality", 0, 400.0)
+        assert str(err.value) == (
+            "violation term of inequality[0] overflows at violation_exponent 400"
+        )
+
+    @pytest.mark.parametrize("exponent, breach", [(400.0, 0.01), (400.0, 0.1), (2.0, 1e-170)])
+    @pytest.mark.parametrize("scorer", [evaluate_many, violation_many])
+    def test_underflowed_breach_stays_infeasible(self, scorer, exponent, breach):
+        p = self.steep(exponent)
+        v = self.violation(scorer, p, np.array([[1.0, breach], [0.0, 0.0], [0.0, -1.0]]))
+        assert v.tolist() == [np.finfo(float).smallest_subnormal, 0.0, 0.0]
+
+    @pytest.mark.parametrize("exponent, breach", [(400.0, 0.01), (400.0, 0.1), (2.0, 1e-170)])
+    def test_feasible_many_rejects_underflowed_breach(self, exponent, breach):
+        pts = np.array([[1.0, breach], [0.0, 0.0], [0.0, -1.0]])
+        assert feasible_many(self.steep(exponent), pts).tolist() == [False, True, True]
+
+    def test_run_aborts_with_the_named_error(self):
+        from wrfss.engine import EngineParams, run
+
+        record = run(self.steep(), params=EngineParams(n_fish=4, iterations=3), seed=0)
+        assert record.aborted
+        assert record.error == "violation term of inequality[0] overflows at violation_exponent 400"
+        assert record.eval_count == 0 and record.trace_iteration.size == 0
+
+
 def test_removed_per_point_names_are_gone():
     for name in ("evaluate", "Evaluation", "relax_equalities"):
         assert not hasattr(problem_module, name)
