@@ -46,12 +46,10 @@ class EvaluationError(RuntimeError):
         self.exponent = exponent
         where = kind if index is None else f"{kind}[{index}]"
         name = f" of problem {problem_name!r}" if problem_name else ""
-        if exponent is None:
-            super().__init__(f"non-finite value from {where}{name}")
-        else:
-            super().__init__(
-                f"violation term of {where}{name} overflows at violation_exponent {exponent:g}"
-            )
+        message = f"non-finite value from {where}{name}"
+        if exponent is not None:
+            message = f"violation term of {where}{name} overflows at exponent {exponent:g}"
+        super().__init__(message)
 
 
 def _reject_non_finite(instance) -> None:
@@ -168,9 +166,9 @@ def _term(problem: Problem, kind: str, index: int, fn: BatchFn, points: np.ndarr
     if kind == "equality":
         values = np.abs(values) - problem.delta
     breach = np.maximum(0.0, values)
-    if problem.violation_exponent == 1.0:
-        return breach
     p = problem.violation_exponent
+    if p == 1.0:
+        return breach
     try:
         with np.errstate(over="raise"):
             terms = breach**p

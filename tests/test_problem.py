@@ -351,9 +351,7 @@ class TestViolationExponentLimits:
         with pytest.raises(EvaluationError) as err:
             scorer(self.steep(), np.array([[0.0, -1.0], [1.0, 50.0]]))
         assert (err.value.kind, err.value.index, err.value.exponent) == ("inequality", 0, 400.0)
-        assert str(err.value) == (
-            "violation term of inequality[0] overflows at violation_exponent 400"
-        )
+        assert str(err.value) == "violation term of inequality[0] overflows at exponent 400"
 
     @pytest.mark.parametrize("exponent, breach", [(400.0, 0.01), (400.0, 0.1), (2.0, 1e-170)])
     @pytest.mark.parametrize("scorer", [evaluate_many, violation_many])
@@ -372,7 +370,7 @@ class TestViolationExponentLimits:
 
         record = run(self.steep(), params=EngineParams(n_fish=4, iterations=3), seed=0)
         assert record.aborted
-        assert record.error == "violation term of inequality[0] overflows at violation_exponent 400"
+        assert record.error == "violation term of inequality[0] overflows at exponent 400"
         assert record.eval_count == 0 and record.trace_iteration.size == 0
 
 
