@@ -23,12 +23,21 @@ __all__ = [
 ]
 
 
-def best_index(fitness: np.ndarray, violation: np.ndarray) -> int:
-    """Index of the feasibility-rules best entry of a population."""
+def best_index(fitness: np.ndarray, violation: np.ndarray) -> int | np.ndarray:
+    """Index of the feasibility-rules best entry of a population; a tie keeps the first.
+
+    A 2-D pair of arrays holds one population per row, and gives one index
+    per row.
+    """
     feasible = violation == 0.0
-    if feasible.any():
-        return int(np.where(feasible, fitness, np.inf).argmin())
-    return int(violation.argmin())
+    some = feasible.any(axis=-1)
+    if not some.any():
+        index = violation.argmin(axis=-1)
+    else:
+        index = np.where(feasible, fitness, np.inf).argmin(axis=-1)
+        if not some.all():
+            index = np.where(some, index, violation.argmin(axis=-1))
+    return int(index) if index.ndim == 0 else index
 
 
 def epsilon_less_arrays(
@@ -92,33 +101,58 @@ class EpsilonSchedule:
 
 
 def normalized_feeding(
-    values: np.ndarray, running_min: float, running_max: float, w_scale: float
+    values: np.ndarray,
+    running_min: float | np.ndarray,
+    running_max: float | np.ndarray,
+    w_scale: float,
 ) -> np.ndarray:
     """Map objective values onto weights in [1, w_scale], best value highest.
 
     w = w_scale + (1 - w_scale) * (value - min) / (max - min), so the running
     minimum maps to w_scale and the running maximum to 1. A degenerate range
-    (max == min) yields w_scale / 2 for every fish.
+    (max == min) yields w_scale / 2 for every fish. Extremes given as arrays
+    broadcast against ``values``: (R, 1) extremes feed a (R, n) school of R
+    runs, each run against its own pair.
     """
-    if running_min > running_max:
-        raise ValueError("running_min must not exceed running_max")
     values = np.asarray(values, dtype=float)
-    if running_max == running_min:
-        return np.full(values.shape, w_scale / 2.0)
-    frac = (values - running_min) / (running_max - running_min)
-    return w_scale + (1.0 - w_scale) * frac
+    if isinstance(running_min, np.ndarray) and running_min.size == 1:  # one pair: scalars
+        running_min, running_max = running_min.item(), running_max.item()
+    if not isinstance(running_min, np.ndarray):
+        if running_min > running_max:
+            raise ValueError("running_min must not exceed running_max")
+        if running_max == running_min:
+            return np.full(values.shape, w_scale / 2.0)
+        frac = (values - running_min) / (running_max - running_min)
+        return w_scale + (1.0 - w_scale) * frac
+    span = np.subtract(running_max, running_min)
+    if (span > 0.0).all():
+        return w_scale + (1.0 - w_scale) * ((values - running_min) / span)
+    if (span < 0.0).any():
+        raise ValueError("running_min must not exceed running_max")
+    flat = span == 0.0
+    frac = (values - running_min) / np.where(flat, 1.0, span)
+    return np.where(flat, w_scale / 2.0, w_scale + (1.0 - w_scale) * frac)
 
 
 @dataclass(frozen=True)
 class RunningExtremes:
-    """Minimum and maximum of every value seen so far; ``update`` returns the widened pair."""
+    """Minimum and maximum of every value seen so far; ``update`` returns the widened pair.
 
-    min: float = math.inf
-    max: float = -math.inf
+    A pair of (R, 1) arrays holds the extremes of R runs, and its ``update``
+    takes a (R, n) array, one row of values per run.
+    """
+
+    min: float | np.ndarray = math.inf
+    max: float | np.ndarray = -math.inf
 
     def update(self, values: np.ndarray) -> RunningExtremes:
         values = np.asarray(values, dtype=float)
         if not values.size:
             return self
+        if values.ndim == 2:
+            return RunningExtremes(
+                np.minimum(self.min, np.minimum.reduce(values, axis=1, keepdims=True)),
+                np.maximum(self.max, np.maximum.reduce(values, axis=1, keepdims=True)),
+            )
         lo, hi = float(values.min()), float(values.max())
         return RunningExtremes(min(self.min, lo), max(self.max, hi))

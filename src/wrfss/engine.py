@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "RunRecord",
     "decide_phase",
     "run",
+    "run_many",
 ]
 
 VARIANT_KINDS = ("base", "epsilon", "gradient", "penalty")
@@ -147,11 +148,18 @@ class EngineParams:
         )
 
 
-def decide_phase(violations: np.ndarray, sigma: float) -> int:
-    """Phase 2 when the feasible proportion reaches ``sigma``, else phase 1."""
+def decide_phase(violations: np.ndarray, sigma: float) -> int | list[int]:
+    """Phase 2 when the feasible proportion reaches ``sigma``, else phase 1.
+
+    A 2-D array holds one school per row (one per run), and gives a list of
+    one phase per row.
+    """
     violations = np.asarray(violations)
-    feasible_fraction = np.count_nonzero(violations == 0.0) / violations.size
-    return 2 if feasible_fraction >= sigma else 1
+    n = violations.shape[-1]
+    if violations.ndim == 1:
+        return 2 if np.count_nonzero(violations == 0.0) / n >= sigma else 1
+    feasible = np.add.reduce(violations == 0.0, axis=1).tolist()
+    return [2 if count / n >= sigma else 1 for count in feasible]
 
 
 @dataclass
@@ -166,6 +174,8 @@ class RunRecord:
     ``trace_feasible_count`` counts the feasible fish of the school as scored
     right after the individual movement, before the collective movements
     shift it; the next iteration's phase decision sees the re-scored school.
+    The phases are held as int8 and the counts as int32, the iterations as
+    int64: a record keeps five trace columns, and a batch keeps many records.
 
     ``eval_count`` is n_fish * (1 + 2 * iterations) plus D+1 per gradient
     probe; a batch re-scored after a phase change is not counted again. An
@@ -173,6 +183,11 @@ class RunRecord:
     failing call: the trace rows and best of the completed iterations, and
     the evaluations and probes of the calls that returned. A failing batch of
     school and candidates drops its school rows too.
+
+    ``wall_time`` is the run's share of the elapsed time of the block of
+    seeds it ran in (see ``run_many``): the block's time over its seed count,
+    or the run's own time when it ran alone. ``harness.run_batch`` runs each
+    worker's contiguous block of seeds as one stacked school.
     """
 
     seed: int
@@ -199,33 +214,46 @@ class RunRecord:
 
 
 def _active_objective(
-    fitness: np.ndarray, violation: np.ndarray, phase: int, variant: Variant
+    fitness: np.ndarray, violation: np.ndarray, phase: int | np.ndarray, variant: Variant
 ) -> np.ndarray:
-    if phase == 1:
+    """The objective the phase minimizes: the violation in phase 1, the fitness in phase 2.
+
+    The penalty variant's phase-2 objective is fitness + violation. ``phase``
+    is one phase, or an array of phases that broadcasts against the scores
+    (one per run of a school).
+    """
+    per_run = isinstance(phase, np.ndarray)
+    if not per_run and phase == 1:
         return violation
-    if variant.kind == "penalty":
-        return fitness + violation
-    return fitness
+    phase2 = fitness + violation if variant.kind == "penalty" else fitness
+    return np.where(phase == 1, violation, phase2) if per_run else phase2
 
 
 class _Moves(NamedTuple):
     """The random numbers of one individual movement, and its probe gradients.
 
     ``offsets`` holds the uniform [-1, 1) step of each plain fish (a zero row
-    for a probing fish). For the p probing fish, ``probing`` holds their
-    indices, ``gradient`` (p, D) their violation gradients, ``normals`` (p, K,
-    D) their direction samples and ``fractions`` (p,) their step fractions.
+    for a probing fish), and ``counts`` the number of probing fish of each
+    run (None when no fish can probe). For the p probing fish, ``probing``
+    holds their indices, ``gradient`` (p, D) their violation gradients,
+    ``normals`` (p, K, D) their direction samples and ``fractions`` (p,) their
+    step fractions.
     """
 
     offsets: np.ndarray
+    counts: list[int] | None = None
     probing: np.ndarray = np.empty(0, dtype=np.intp)
     gradient: np.ndarray | None = None
     normals: np.ndarray | None = None
     fractions: np.ndarray | None = None
 
 
+def _stack(blocks: list[np.ndarray]) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def _draw_moves(
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     positions: np.ndarray,
     variant: Variant,
     problem: Problem,
@@ -242,30 +270,47 @@ def _draw_moves(
     the step fraction of each probing fish. No draw depends on a score, so the
     D+1 forward-difference rows (steps ``e``) of all p probing fish are scored
     afterwards in one ``violation_many`` call of p * (D+1) rows.
+
+    ``positions`` holds one run of n consecutive fish per generator of
+    ``rngs``, and each run draws from its own generator what it draws alone;
+    the probes of all runs share the one call.
     """
-    n, d = positions.shape
+    size, d = positions.shape
+    n = size // len(rngs)
     if variant.kind != "gradient" or variant.p_g == 0.0:
-        return _Moves(rng.uniform(-1.0, 1.0, (n, d)))
-    probing = np.flatnonzero(rng.random(n) < variant.p_g)
-    offsets = np.zeros((n, d))
-    normals = np.empty((probing.size, variant.k_directions, d))
-    fractions = np.empty(probing.size)
-    start = 0  # first fish of the current run of plain fish; an empty run draws nothing
-    for j, i in enumerate(probing):
-        offsets[start:i] = rng.uniform(-1.0, 1.0, (i - start, d))
-        rng.standard_normal(out=normals[j])
-        fractions[j] = rng.random()
-        start = i + 1
-    offsets[start:] = rng.uniform(-1.0, 1.0, (n - start, d))
+        if len(rngs) == 1:
+            return _Moves(rngs[0].uniform(-1.0, 1.0, (n, d)))
+        return _Moves(np.concatenate([g.uniform(-1.0, 1.0, (n, d)) for g in rngs]))
+    offsets = np.zeros((size, d))
+    probing, normals, fractions = [], [], []
+    for r, g in enumerate(rngs):
+        gated = (g.random(n) < variant.p_g).nonzero()[0]
+        run_normals = np.empty((gated.size, variant.k_directions, d))
+        run_fractions = np.empty(gated.size)
+        start = 0  # first fish of the current run of plain fish; an empty run draws nothing
+        run_offsets = offsets[r * n:(r + 1) * n]
+        for j, i in enumerate(gated.tolist()):
+            run_offsets[start:i] = g.uniform(-1.0, 1.0, (i - start, d))
+            g.standard_normal(out=run_normals[j])
+            run_fractions[j] = g.random()
+            start = i + 1
+        run_offsets[start:] = g.uniform(-1.0, 1.0, (n - start, d))
+        probing.append(gated + r * n if r else gated)
+        normals.append(run_normals)
+        fractions.append(run_fractions)
+    counts = [gated.size for gated in probing]
+    probing = _stack(probing)
+    if not probing.size:
+        return _Moves(offsets, counts)
     score = partial(violation_many, problem)
-    gradient = forward_gradient(score, positions[probing], e) if probing.size else None
-    return _Moves(offsets, probing, gradient, normals, fractions)
+    gradient = forward_gradient(score, positions[probing], e)
+    return _Moves(offsets, counts, probing, gradient, _stack(normals), _stack(fractions))
 
 
 def _candidates(
     positions: np.ndarray,
     moves: _Moves,
-    phase: int,
+    phase: int | list[int],
     step_ind: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -275,31 +320,92 @@ def _candidates(
 
     A plain fish steps ``offsets * step_ind``. A probing fish steps
     step_ind * fraction along the direction its gradient picks among its
-    normal samples (steepest descent in phase 1, flattest in phase 2).
+    normal samples (steepest descent in phase 1, flattest in phase 2). In a
+    school of R runs of consecutive fish, ``phase`` may be an array of one
+    phase per run and ``step_ind`` one (D,) row per run.
     """
-    np.multiply(moves.offsets, step_ind, out=out)
+    size, d = positions.shape
+    if step_ind.ndim == 1:
+        np.multiply(moves.offsets, step_ind, out=out)
+    else:
+        runs = len(step_ind)
+        np.multiply(
+            moves.offsets.reshape(runs, -1, d), step_ind[:, None], out=out.reshape(runs, -1, d)
+        )
     out += positions
-    if moves.probing.size:
+    probing = moves.probing
+    if probing.size:
+        if isinstance(phase, np.ndarray):
+            phase = phase.reshape(-1)[probing // (size // phase.size)]
         u = pick_direction(moves.gradient, moves.normals, phase)
-        out[moves.probing] = positions[moves.probing] + step_ind * moves.fractions[:, None] * u
+        step = step_ind if step_ind.ndim == 1 else step_ind[probing // (size // len(step_ind))]
+        out[probing] = positions[probing] + step * moves.fractions[:, None] * u
     np.maximum(out, lower, out=out)
     return np.minimum(out, upper, out=out)
 
 
-def _merge_best(
-    best: tuple[float, float, np.ndarray],
-    fitness: np.ndarray,
-    violation: np.ndarray,
-    positions: np.ndarray,
-) -> tuple[float, float, np.ndarray]:
-    """The feasibility-rules best ``(f, v, x)`` of the incumbent and the school.
+def _steps(
+    schedules: list[StepSchedule], t: int, width: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The individual and volitive steps at ``t``: each run's fractions times the box width.
 
-    The incumbent ranks ahead of the school, so a tie keeps it.
+    One (D,) row serves every run when they share one schedule, as they do
+    until a phase switch boosts some runs and not others; else there is one
+    row per run.
     """
-    i = best_index(np.concatenate(([best[0]], fitness)), np.concatenate(([best[1]], violation)))
-    if i == 0:
-        return best
-    return float(fitness[i - 1]), float(violation[i - 1]), positions[i - 1].copy()
+    first = schedules[0]
+    if schedules.count(first) == len(schedules):
+        ind, vol = first.at(t)
+        return ind * width, vol * width
+    ind, vol = np.array([schedule.at(t) for schedule in schedules]).T
+    return ind[:, None] * width, vol[:, None] * width
+
+
+def _fill(rngs: list[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, one block of consecutive rows per run, with each run's uniform [0, 1) draws."""
+    if len(rngs) == 1:
+        return rngs[0].random(out=out)
+    rows = len(out) // len(rngs)
+    for r, g in enumerate(rngs):
+        g.random(out=out[r * rows:(r + 1) * rows])
+    return out
+
+
+def _one_phase(phase: list[int]) -> int | np.ndarray:
+    """The phase of every run when they share one, else a (R, 1) array of each run's phase."""
+    first = phase[0]
+    return first if phase.count(first) == len(phase) else np.array(phase)[:, None]
+
+
+def _merge_best(
+    best: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scored: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> None:
+    """Merge each run's scored fish into its feasibility-rules best ``(f, v, x)``, in place.
+
+    ``best`` holds the (R,), (R,) and (R, D) arrays of the R runs' incumbents.
+    Each entry of ``scored`` is a (fitness, violation, positions) block of
+    shapes (R, k), (R, k) and (R, k, D). The incumbent ranks first and the
+    blocks follow in order, so a tie keeps the earliest: one merge over
+    ``[incumbent, school, moved school]`` equals a merge of the school
+    followed by a merge of the moved school.
+    """
+    best_f, best_v, best_x = best
+    fitness = np.concatenate([best_f[:, None]] + [f for f, _, _ in scored], axis=1)
+    violation = np.concatenate([best_v[:, None]] + [v for _, v, _ in scored], axis=1)
+    index = best_index(fitness, violation)
+    won = index.nonzero()[0]
+    if not won.size:
+        return
+    best_f[won] = fitness[won, index[won]]
+    best_v[won] = violation[won, index[won]]
+    for r in won.tolist():
+        j = int(index[r]) - 1
+        for f, _, x in scored:
+            if j < f.shape[1]:
+                best_x[r] = x[r, j]
+                break
+            j -= f.shape[1]
 
 
 def run(
@@ -309,161 +415,285 @@ def run(
     seed: int = 0,
     observer: Callable[..., None] | None = None,
 ) -> RunRecord:
-    """Execute one seeded run and return its record.
+    """Execute one seeded run and return its record: ``run_many`` of the one seed.
 
     A fixed seed makes the whole run a deterministic function of the
-    configuration. The school is held as local arrays, one row per fish:
-    ``positions``, ``weights``, the last moves ``delta_x`` and ``delta_f``,
-    and the ``fitness`` and ``violation`` of the last scoring.
-
-    ``observer``, when given, is called at the end of every iteration as
-    ``observer(t, positions, weights, fitness, violation, leader)``, with
-    read-only views of the school after the collective movements (its scores
-    are those after the individual movement) and of the follower-to-leader
-    array (-1 for no leader). An evaluation error aborts the run and is
-    reported on the record instead of raising.
+    configuration. ``observer``, when given, is called at the end of every
+    iteration as ``observer(t, positions, weights, fitness, violation,
+    leader)``, with read-only views of the school after the collective
+    movements (its scores are those after the individual movement) and of
+    the follower-to-leader array (-1 for no leader). An evaluation error
+    aborts the run and is reported on the record instead of raising.
     """
+    return run_many(problem, variant, params, [seed], observer)[0]
+
+
+def run_many(
+    problem: Problem,
+    variant: Variant = Variant(),
+    params: EngineParams = EngineParams(),
+    seeds: Sequence[int] = (0,),
+    observer: Callable[..., None] | None = None,
+) -> list[RunRecord]:
+    """Execute one seeded run per seed, all as one stacked school; one record per seed.
+
+    Each run draws from its own ``default_rng(seed)`` exactly what it draws
+    alone, and makes the same decisions on the same scores. So when the
+    problem scores each row of a batch independently of the other rows, as
+    every CEC 2010 problem here does, each record equals the record ``run``
+    gives its seed alone in every field but ``wall_time``. That is the
+    block's elapsed time over its seed count. (A matrix-vector product ``x @
+    w`` is an example of a function that may round a row differently in
+    batches of different sizes.) An evaluation error in a block of several
+    seeds re-runs each seed alone, so an aborted record is the solo aborted
+    record too. An ``observer`` (see ``run``) watches a block of one seed
+    only.
+    """
+    seeds = list(seeds)
+    if observer is not None and len(seeds) != 1:
+        raise ValueError(f"an observer watches one run, got {len(seeds)} seeds")
+    if not seeds:
+        return []
     t_start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    n, d = params.n_fish, problem.dimension
+    try:
+        records = _run_school(problem, variant, params, seeds, observer)
+    except EvaluationError:
+        records = [_run_school(problem, variant, params, [seed], None)[0] for seed in seeds]
+    share = (time.perf_counter() - t_start) / len(seeds)
+    for record in records:
+        record.wall_time = share
+    return records
+
+
+def _run_school(
+    problem: Problem,
+    variant: Variant,
+    params: EngineParams,
+    seeds: list[int],
+    observer: Callable[..., None] | None,
+) -> list[RunRecord]:
+    """The loop of ``run_many``; an evaluation error stops a single run and propagates otherwise.
+
+    The school of R runs of n fish is held as stacked local arrays, run r in
+    rows r*n to (r+1)*n: ``positions``, ``weights``, the last moves
+    ``delta_x`` and ``delta_f``, and the ``fitness`` and ``violation`` of the
+    last scoring. The links hold stack-wide indices and never cross runs.
+    Each run keeps its own phase, step and epsilon schedules, feeding
+    extremes, total weight, best so far and counters.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    runs, n, d = len(seeds), params.n_fish, problem.dimension
+    size = runs * n
     lower, upper, width = problem.lower, problem.upper, problem.range_width
 
-    schedule = params.step_schedule()
-    extremes = {1: RunningExtremes(), 2: RunningExtremes()}
+    schedules = [params.step_schedule()] * runs
+    # The running extremes of each run's active objective, in its current
+    # phase and in the other one.
+    extremes = RunningExtremes(np.full((runs, 1), math.inf), np.full((runs, 1), -math.inf))
+    other_extremes = RunningExtremes(np.full((runs, 1), math.inf), np.full((runs, 1), -math.inf))
     if variant.perturbation is None:
         e_vec = 1e-6 * width
     else:
         e_vec = np.full(d, float(variant.perturbation))
 
-    trace = []  # rows of (iteration, best fitness, best violation, phase, feasible count)
-    best = (math.inf, math.inf, np.full(d, math.nan))  # the feasibility-rules best so far
-    phase = 1  # so a school already feasible at t=0 gets one step boost
-    eval_count = 0
-    probe_count = 0
+    # Trace rows, one column per run: best fitness, best violation, phase and
+    # feasible count.
+    trace_f = np.empty((params.iterations + 1, runs))
+    trace_v = np.empty((params.iterations + 1, runs))
+    trace_phase = []  # one list of R phases per row
+    trace_feasible = np.empty((params.iterations + 1, runs), dtype=np.int32)
+    rows = 0  # trace rows recorded
+    batches = 0  # school-and-candidates batches scored
+    scored = False  # this iteration's school is scored but not yet merged into the best
+    best = (np.full(runs, math.inf), np.full(runs, math.inf), np.full((runs, d), math.nan))
+    phase = [1] * runs  # so a school already feasible at t=0 gets one step boost
+    shared = 1  # the phase of every run, or an array of each run's phase when they differ
+    probe_count = [0] * runs
     aborted = False
     error = ""
 
-    positions = lower + rng.random((n, d)) * width
-    batch = np.empty((2 * n, d))  # the school, then its candidates, scored in one call
-    candidates = batch[n:]
-    weights = np.full(n, params.w_scale / 2.0)
-    # The volitive move contracts when the total weight grew since the
+    positions = lower + _fill(rngs, np.empty((size, d))) * width
+    batch = np.empty((2 * size, d))  # the school, then its candidates, scored in one call
+    candidates = batch[size:]
+    sar_draws = np.empty(size)
+    volitive_draws = np.empty((size, d))
+    weights = np.full(size, params.w_scale / 2.0)
+    # The volitive move contracts when a run's total weight grew since the
     # previous iteration, and expands otherwise; the first compares with the
     # start weights.
-    total_weight = float(weights.sum())
+    total_weight = np.add.reduce(weights.reshape(runs, n), axis=1)
     try:
-        fitness, violation = evaluate_many(problem, positions)
-        eval_count += n
-        best = _merge_best(best, fitness, violation, positions)
-        links = LinkGraph.empty(n)
+        # numpy multiplies a single row through another BLAS kernel than a
+        # batch, which rounds differently, so a one-fish school is scored as
+        # two copies of its fish, as a block of one-fish runs is scored.
+        padded = positions if size > 1 else np.concatenate([positions, positions])
+        fitness, violation = (scores[:size] for scores in evaluate_many(problem, padded))
+        school_v = violation.reshape(runs, n)
+        _merge_best(best, [(fitness.reshape(runs, n), school_v, positions.reshape(runs, n, d))])
+        links = LinkGraph.empty(size)
 
-        eps_schedule = None
+        eps_schedules = []
         if variant.kind == "epsilon":
-            eps0 = variant.epsilon0
-            if eps0 is None:
-                eps0 = initial_epsilon(violation)
             cutoff = int(round(variant.tc_fraction * params.iterations))
-            eps_schedule = EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
+            for run_v in school_v:
+                eps0 = variant.epsilon0
+                if eps0 is None:
+                    eps0 = initial_epsilon(run_v)
+                eps_schedules.append(
+                    EpsilonSchedule(eps0=eps0, cutoff=cutoff, cp_min=variant.cp_min)
+                )
 
-        trace.append((0, best[0], best[1], decide_phase(violation, params.sigma),
-                      np.count_nonzero(violation == 0.0)))
+        trace_f[0], trace_v[0] = best[0], best[1]
+        trace_phase.append(decide_phase(school_v, params.sigma))
+        trace_feasible[0] = (school_v == 0.0).sum(axis=1)
+        rows = 1
 
+        school_x = batch[:size].reshape(runs, n, d)
         for t in range(params.iterations):
             # Individual movement: first every random number it draws, and the
             # gradient probes, which need no score of the school; then the
             # candidates for the previous iteration's phase and un-boosted step.
-            moves = _draw_moves(rng, positions, variant, problem, e_vec)
-            probe_count += moves.probing.size
-            eval_count += moves.probing.size * (d + 1)
-            step_ind_frac, step_vol_frac = schedule.at(t)
-            batch[:n] = positions
-            _candidates(positions, moves, phase, step_ind_frac * width, lower, upper, candidates)
+            moves = _draw_moves(rngs, positions, variant, problem, e_vec)
+            if moves.probing.size:
+                for r, count in enumerate(moves.counts):
+                    probe_count[r] += count
+            step_ind, step_vol = _steps(schedules, t, width)
+            batch[:size] = positions
+            _candidates(positions, moves, shared, step_ind, lower, upper, candidates)
             # One call scores the school, unscored since the collective
             # movements of the previous iteration, and the candidates.
             batch_fitness, batch_violation = evaluate_many(problem, batch)
-            eval_count += 2 * n
-            best = _merge_best(best, batch_fitness[:n], batch_violation[:n], positions)
+            batches += 1
+            scored = True
+            fitness, cand_fitness = batch_fitness[:size], batch_fitness[size:]
+            violation, cand_violation = batch_violation[:size], batch_violation[size:]
+            school_f, school_v = fitness.reshape(runs, n), violation.reshape(runs, n)
 
-            new_phase = decide_phase(batch_violation[:n], params.sigma)
-            if new_phase != phase and (new_phase == 2 or moves.probing.size):
+            new_phase = decide_phase(school_v, params.sigma)
+            if new_phase != phase:
                 # Rebuild the candidates from the same draws for the new phase
                 # (and step, boosted on a switch to phase 2), and re-score the
-                # batch so they keep the rounding of a 2n-row call. A switch to
-                # phase 1 with no probing fish boosts nothing and picks no
-                # direction, so the candidates already scored stand.
-                if new_phase == 2:
-                    schedule = schedule.boost(params.tau, t)
-                step_ind_frac, step_vol_frac = schedule.at(t)
-                _candidates(
-                    positions, moves, new_phase, step_ind_frac * width, lower, upper, candidates
-                )
-                batch_fitness, batch_violation = evaluate_many(problem, batch)
+                # school and candidate rows of the runs that switched, the rows
+                # a run alone re-scores. A switch to phase 1 with no probing
+                # fish boosts nothing and picks no direction, so the candidates
+                # already scored stand, as do those of every run whose phase
+                # stays, which are rebuilt unchanged.
+                changed = [r for r in range(runs) if new_phase[r] != phase[r]]
+                switched = [r for r in changed if new_phase[r] == 2 or moves.probing.size
+                            and moves.counts[r]]
+                for r in changed:
+                    if new_phase[r] == 2:
+                        schedules[r] = schedules[r].boost(params.tau, t)
+                if len(changed) == runs:
+                    extremes, other_extremes = other_extremes, extremes
+                else:
+                    for mine, others in ((extremes.min, other_extremes.min),
+                                         (extremes.max, other_extremes.max)):
+                        mine[changed], others[changed] = others[changed], mine[changed]
+                shared = _one_phase(new_phase)
+                if switched:
+                    step_ind, step_vol = _steps(schedules, t, width)
+                    _candidates(positions, moves, shared, step_ind, lower, upper, candidates)
+                    if len(switched) == runs:
+                        batch_fitness[:], batch_violation[:] = evaluate_many(problem, batch)
+                    else:
+                        school_rows = (np.arange(n) + n * np.array(switched)[:, None]).ravel()
+                        redo = np.concatenate([school_rows, school_rows + size])
+                        batch_fitness[redo], batch_violation[redo] = evaluate_many(
+                            problem, batch[redo]
+                        )
             phase = new_phase
-            fitness, cand_fitness = batch_fitness[:n], batch_fitness[n:]
-            violation, cand_violation = batch_violation[:n], batch_violation[n:]
-            batch_active = _active_objective(batch_fitness, batch_violation, phase, variant)
-            active, cand_active = batch_active[:n], batch_active[n:]
+            active, cand_active = _active_objective(
+                batch_fitness.reshape(2, runs, n), batch_violation.reshape(2, runs, n),
+                shared, variant,
+            ).reshape(2, size)
             if variant.kind == "epsilon":
-                better = epsilon_less_arrays(
-                    cand_fitness, cand_violation, fitness, violation, eps_schedule.value_at(t)
-                )
+                eps = [schedule.value_at(t) for schedule in eps_schedules]
+                if eps.count(eps[0]) == runs:
+                    better = epsilon_less_arrays(
+                        cand_fitness, cand_violation, fitness, violation, eps[0]
+                    )
+                else:
+                    better = epsilon_less_arrays(
+                        cand_fitness.reshape(runs, n), cand_violation.reshape(runs, n),
+                        school_f, school_v, np.array(eps)[:, None],
+                    ).reshape(size)
             else:
                 better = cand_active < active
             alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)
-            accepted = better | (rng.random(n) < alpha)
+            _fill(rngs, sar_draws)
+            accepted = better | (sar_draws < alpha)
             positions, fitness, violation, delta_x, delta_f = accept(
                 accepted, candidates, cand_fitness, cand_violation, active - cand_active,
                 positions, fitness, violation,
             )
-            best = _merge_best(best, fitness, violation, positions)
+            fitness_runs, violation_runs = fitness.reshape(runs, n), violation.reshape(runs, n)
+            _merge_best(best, [
+                (school_f, school_v, school_x),
+                (fitness_runs, violation_runs, positions.reshape(runs, n, d)),
+            ])
+            scored = False
 
             # Feeding: normalize the active objective against its running extremes.
-            active = _active_objective(fitness, violation, phase, variant)
-            extremes[phase] = extremes[phase].update(active)
+            active = _active_objective(fitness_runs, violation_runs, shared, variant)
+            extremes = extremes.update(active)
             weights = normalized_feeding(
-                active, extremes[phase].min, extremes[phase].max, params.w_scale
-            )
+                active, extremes.min, extremes.max, params.w_scale
+            ).reshape(size)
 
             # Collective movements around the links: the instinctive drift reads
             # the links of the previous iteration, the volitive move the fresh ones.
             positions = leader_instinctive_step(
                 positions, delta_x, delta_f, links, t / params.iterations, lower, upper,
             )
-            links = link_formator(weights, links, rng)
-            previous_total, total_weight = total_weight, float(weights.sum())
+            links = link_formator(weights, links, rngs)
+            previous_total = total_weight
+            total_weight = np.add.reduce(weights.reshape(runs, n), axis=1)
+            _fill(rngs, volitive_draws)
             positions = leader_volitive_step(
-                positions, weights, links, step_vol_frac * width, total_weight > previous_total,
-                rng.random((n, d)), lower, upper,
+                positions, weights, links, step_vol, total_weight > previous_total,
+                volitive_draws, lower, upper,
             )
 
-            trace.append((t + 1, best[0], best[1], phase, np.count_nonzero(violation == 0.0)))
+            trace_f[t + 1], trace_v[t + 1] = best[0], best[1]
+            trace_phase.append(phase)
+            trace_feasible[t + 1] = np.add.reduce(violation_runs == 0.0, axis=1)
+            rows = t + 2
             if observer is not None:
                 views = [a.view() for a in (positions, weights, fitness, violation, links.leader)]
                 for view in views:
                     view.flags.writeable = False
                 observer(t, *views)
     except EvaluationError as exc:
+        if runs > 1:
+            raise
+        if scored:  # the school half of a batch that returned counts, also when its re-score fails
+            _merge_best(best, [(school_f, school_v, school_x)])
         aborted = True
         error = str(exc)
 
-    iteration, trace_f, trace_v, trace_phase, feasible_count = zip(*trace) if trace else [()] * 5
-    best_f, best_v, best_x = best if trace else (math.nan, math.nan, best[2])
-    return RunRecord(
-        seed=seed,
-        variant_kind=variant.kind,
-        n_fish=n,
-        iterations=params.iterations,
-        trace_iteration=np.array(iteration, dtype=np.int64),
-        trace_best_fitness=np.array(trace_f, dtype=float),
-        trace_best_violation=np.array(trace_v, dtype=float),
-        trace_phase=np.array(trace_phase, dtype=np.int64),
-        trace_feasible_count=np.array(feasible_count, dtype=np.int64),
-        best_fitness=best_f,
-        best_violation=best_v,
-        best_position=best_x,
-        eval_count=eval_count,
-        probe_count=probe_count,
-        wall_time=time.perf_counter() - t_start,
-        aborted=aborted,
-        error=error,
-    )
+    phases = np.array(trace_phase, dtype=np.int8).reshape(rows, runs)
+    records = []
+    for r, seed in enumerate(seeds):
+        best_f, best_v = (float(best[0][r]), float(best[1][r])) if rows else (math.nan, math.nan)
+        records.append(RunRecord(
+            seed=seed,
+            variant_kind=variant.kind,
+            n_fish=n,
+            iterations=params.iterations,
+            trace_iteration=np.arange(rows, dtype=np.int64),
+            trace_best_fitness=trace_f[:rows, r].copy(),
+            trace_best_violation=trace_v[:rows, r].copy(),
+            trace_phase=phases[:, r].copy(),
+            trace_feasible_count=trace_feasible[:rows, r].copy(),
+            best_fitness=best_f,
+            best_violation=best_v,
+            best_position=best[2][r].copy(),
+            # the initial school, the batches that returned, and the probes
+            eval_count=(n if rows else 0) + 2 * n * batches + (d + 1) * probe_count[r],
+            probe_count=probe_count[r],
+            wall_time=0.0,
+            aborted=aborted,
+            error=error,
+        ))
+    return records

@@ -35,19 +35,23 @@ def forward_gradient(
     return (values[:, 1:] - values[:, :1]) / e
 
 
-def pick_direction(gradient: np.ndarray, normals: np.ndarray, phase: int) -> np.ndarray:
+def pick_direction(
+    gradient: np.ndarray, normals: np.ndarray, phase: int | np.ndarray
+) -> np.ndarray:
     """For each of p gradients, the preferred one of its K sampled directions.
 
     ``gradient`` is (p, D) and ``normals`` (p, K, D) standard normal samples,
     which are normalized to uniform unit directions. Phase 1 picks the
     direction with the smallest signed derivative (steepest sampled descent);
-    phase 2 the smallest absolute derivative. With a zero gradient every
+    phase 2 the smallest absolute derivative. ``phase`` is one phase for all
+    p probes, or an array of p phases, one per probe. With a zero gradient every
     derivative ties and the first sample wins. Returns a (p, D) array.
     """
     p, k, _ = normals.shape
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if phase not in (1, 2):
+    per_probe = isinstance(phase, np.ndarray)
+    if not np.all((phase == 1) | (phase == 2)) if per_probe else phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
     u = normals / np.sqrt((normals * normals).sum(axis=-1, keepdims=True))
     # One matrix-vector product per probe: a stacked product may run another
@@ -55,6 +59,8 @@ def pick_direction(gradient: np.ndarray, normals: np.ndarray, phase: int) -> np.
     derivs = np.empty((p, k))
     for i in range(p):
         derivs[i] = u[i] @ gradient[i]
-    if phase == 2:
+    if per_probe:
+        derivs[phase == 2] = np.abs(derivs[phase == 2])
+    elif phase == 2:
         derivs = np.abs(derivs)
     return u[np.arange(p), np.argmin(derivs, axis=1)]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cec2010
-from .engine import EngineParams, RunRecord, Variant, run
+from .engine import EngineParams, RunRecord, Variant, run, run_many
 from .problem import Problem
 
 __all__ = [
@@ -50,6 +50,7 @@ VARIANT_NAMES = {
 
 PAPER_ITERATIONS = 80000
 DESK_ITERATIONS = 5000
+_TRACE_BLOCK = 1024  # trace rows formatted per block, so a long trace is written in little memory
 
 # (sigma, tau) per variant.
 _PRESET_SIGMA_TAU = {
@@ -159,8 +160,8 @@ def paper_preset(
 ) -> ExperimentConfig:
     """Published protocol parameters for one problem/variant pair.
 
-    ``desk`` scales the iteration budget from 80000 down to 5000 so a batch
-    finishes in minutes.
+    ``desk`` scales the iteration budget from ``PAPER_ITERATIONS`` down to
+    ``DESK_ITERATIONS`` so a batch finishes in minutes.
     """
     if variant not in VARIANT_NAMES:
         raise ValueError(f"variant must be one of {sorted(VARIANT_NAMES)}, got {variant!r}")
@@ -256,9 +257,20 @@ def run_single(
     )
 
 
-def _batch_worker(config: ExperimentConfig, seed: int) -> RunRecord:
-    # Module-level, so that the pool can pickle it; it reads run_single at call time.
-    return run_single(config, seed)
+def _run_block(
+    config: ExperimentConfig, seeds: list[int], problem: Problem | None = None
+) -> list[RunRecord]:
+    """The seeds of one block as one stacked school; module-level, so that a pool can pickle it."""
+    if problem is None:
+        problem = config.load_problem()
+    return run_many(problem, config.engine_variant(), config.engine_params(), seeds)
+
+
+def _blocks(seeds: list[int], count: int) -> list[list[int]]:
+    """``seeds`` cut into ``count`` contiguous blocks whose sizes differ by at most one."""
+    size, extra = divmod(len(seeds), count)
+    cuts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def run_batch(
@@ -268,37 +280,44 @@ def run_batch(
 ) -> tuple[SummaryStats, list[RunRecord]]:
     """Execute the batch and aggregate statistics.
 
-    Runs are independent; with ``n_jobs`` > 1 they execute in worker
-    processes (the problem is then rebuilt from the config in each worker, so
-    a custom ``problem`` object forces single-process execution). Failed runs
-    are excluded from the statistics and counted in ``failed_runs``.
+    The seeds are cut into min(n_jobs, run_count) contiguous blocks, and each
+    block runs as one stacked school (``engine.run_many``), so every record
+    equals the solo run of its seed whatever ``n_jobs`` is; its ``wall_time``
+    is its block's elapsed time over the block's seed count. With more than
+    one block, the blocks run in worker processes, each loading the problem
+    once from the config; a custom ``problem`` object forces single-process
+    execution. Failed runs are excluded from the statistics and counted in
+    ``failed_runs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     seeds = [config.base_seed + i for i in range(config.run_count)]
-    if n_jobs > 1 and problem is None and config.run_count > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(partial(_batch_worker, config), seeds))
+    blocks = _blocks(seeds, min(n_jobs, config.run_count))
+    if len(blocks) > 1 and problem is None:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = list(pool.map(partial(_run_block, config), blocks))
     else:
         if problem is None:
             problem = config.load_problem()
-        records = [run_single(config, s, problem=problem) for s in seeds]
+        parts = [_run_block(config, block, problem) for block in blocks]
+    records = [record for part in parts for record in part]
     return SummaryStats.from_records(records), records
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_trace(path: Path, record: RunRecord) -> None:
-    lines = ["iteration,best_fitness,best_violation,phase,feasible_count"]
-    for i in range(record.trace_iteration.shape[0]):
-        lines.append(
-            f"{record.trace_iteration[i]},{_fmt(record.trace_best_fitness[i])},"
-            f"{_fmt(record.trace_best_violation[i])},{record.trace_phase[i]},"
-            f"{record.trace_feasible_count[i]}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    """Write the trace CSV, formatting its rows from Python columns a block of rows at a time."""
+    with path.open("w") as fh:
+        fh.write("iteration,best_fitness,best_violation,phase,feasible_count\n")
+        for start in range(0, len(record.trace_iteration), _TRACE_BLOCK):
+            rows = slice(start, start + _TRACE_BLOCK)
+            columns = (
+                record.trace_iteration[rows].tolist(),
+                map(repr, record.trace_best_fitness[rows].tolist()),
+                map(repr, record.trace_best_violation[rows].tolist()),
+                record.trace_phase[rows].tolist(),
+                record.trace_feasible_count[rows].tolist(),
+            )
+            fh.write("".join([f"{i},{f},{v},{p},{c}\n" for i, f, v, p, c in zip(*columns)]))
 
 
 def _finite(obj):

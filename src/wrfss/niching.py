@@ -16,6 +16,8 @@ does not move). Both act on the whole school at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +31,23 @@ __all__ = [
 
 @dataclass
 class LinkGraph:
-    """Follower-to-leader map; entry -1 means no leader."""
+    """Follower-to-leader map; entry -1 means no leader. The map is not changed in place."""
 
     leader: np.ndarray  # (n,) int
 
     @classmethod
     def empty(cls, n: int) -> "LinkGraph":
         return cls(leader=np.full(n, -1, dtype=np.int64))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the fish that have a leader, and of their leaders.
+
+        Worked out once per graph: the volitive move of one iteration and the
+        instinctive drift of the next read the same links.
+        """
+        followers = (self.leader >= 0).nonzero()[0]
+        return followers, self.leader[followers]
 
 
 def _chain_reaches(leader: list[int], start: int, target: int) -> bool:
@@ -48,7 +60,9 @@ def _chain_reaches(leader: list[int], start: int, target: int) -> bool:
 
 
 def link_formator(
-    weights: np.ndarray, links: LinkGraph, rng: np.random.Generator
+    weights: np.ndarray,
+    links: LinkGraph,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> LinkGraph:
     """One link-formation pass over the school in index order.
 
@@ -57,18 +71,30 @@ def link_formator(
     b when the summed weight of a's own followers exceeds b's weight. Any link
     that would close a cycle is refused. Afterwards every link whose follower
     became strictly heavier than its leader is broken.
+
+    A sequence of R generators makes the school R runs of n = len(weights) / R
+    consecutive fish: each run draws its peers from its own generator and
+    within its own fish, and as no link crosses runs, the one pass gives each
+    run the links it gets alone.
     """
-    n = len(links.leader)
+    rngs = rng if isinstance(rng, (list, tuple)) else [rng]
+    n = len(links.leader) // len(rngs)
     if n < 2:
         return LinkGraph(leader=links.leader.copy())
     # The pass is scalar work per fish, so it runs on Python lists; the floats
     # and their summation order are those of the arrays.
     w = np.asarray(weights, dtype=float).tolist()
     leader = links.leader.tolist()
-    raw = rng.integers(0, n - 1, size=n)
-    partner = (raw + (raw >= np.arange(n))).tolist()
+    index = np.arange(n)
+    partner = []
+    for r, g in enumerate(rngs):
+        raw = g.integers(0, n - 1, size=n)
+        raw += raw >= index
+        if r:
+            raw += r * n
+        partner += raw.tolist()
 
-    follower_sum = [0.0] * n
+    follower_sum = [0.0] * len(leader)
     for a, l in enumerate(leader):
         if l >= 0:
             follower_sum[l] += w[a]
@@ -109,13 +135,13 @@ def leader_instinctive_step(
     """
     if rho < 0.0 or rho > 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    followers = np.flatnonzero(links.leader >= 0)
+    followers, li = links.pairs
     num = delta_x * delta_f[:, None]
     den = delta_f.copy()
-    li = links.leader[followers]
-    num[followers] += delta_x[li] * delta_f[li, None]
-    den[followers] += delta_f[li]
-    drift = np.zeros_like(positions)
+    # The right-hand sides are read before the in-place adds write.
+    num[followers] += num[li]
+    den[followers] += den[li]
+    drift = np.zeros(positions.shape)
     np.divide(num, den[:, None], out=drift, where=den[:, None] != 0.0)
     drift *= rho
     drift += positions
@@ -128,7 +154,7 @@ def leader_volitive_step(
     weights: np.ndarray,
     links: LinkGraph,
     step_vol: float | np.ndarray,
-    weight_increased: bool,
+    weight_increased: bool | np.ndarray,
     draws: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -141,24 +167,33 @@ def leader_volitive_step(
     barycenter, stays put. ``draws`` holds one uniform [0, 1) row per fish;
     only rows of fish that move are consumed. Results are clipped into the
     box.
+
+    A school of R runs of n consecutive fish may pass ``weight_increased`` as
+    R flags and ``step_vol`` as R rows, one (D,) step per run.
     """
     out = positions.copy()
-    followers = np.flatnonzero(links.leader >= 0)
+    followers, li = links.pairs
     if followers.size == 0:
         return out
-    li = links.leader[followers]
     wf = weights[followers]
     wl = weights[li]
     at = positions[followers]
     pair_b = (at * wf[:, None] + positions[li] * wl[:, None]) / (wf + wl)[:, None]
     diff = at - pair_b
-    dist = np.sqrt((diff * diff).sum(axis=1))  # what np.linalg.norm computes for real rows
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))  # what np.linalg.norm computes for real rows
     moving = dist > 0.0
     if not moving.all():
         followers, at, diff, dist = followers[moving], at[moving], diff[moving], dist[moving]
     if followers.size:
-        sign = -1.0 if weight_increased else 1.0
-        moved = at + sign * step_vol * draws[followers] * diff / dist[:, None]
+        # A multiplication by -1 or 1 is exact, so the signed step has the bits
+        # of sign * step_vol whichever way it is formed.
+        if isinstance(weight_increased, np.ndarray) and weight_increased.size > 1:
+            run = followers // (len(positions) // weight_increased.size)
+            step = np.where(weight_increased, -1.0, 1.0)[run, None]
+            step = step * (step_vol[run] if np.ndim(step_vol) == 2 else step_vol)
+        else:
+            step = (-1.0 if weight_increased else 1.0) * step_vol
+        moved = at + step * draws[followers] * diff / dist[:, None]
         np.maximum(moved, lower, out=moved)
         out[followers] = np.minimum(moved, upper, out=moved)
     return out

@@ -89,8 +89,9 @@ def accept(
     delta_f)`` arrays; the inputs are not modified.
     """
     delta_f = np.where(accepted, gain, 0.0)
-    delta_x = np.where(accepted[:, None], candidates - positions, 0.0)
-    positions = np.where(accepted[:, None], candidates, positions)
+    moved = np.where(accepted[:, None], candidates, positions)
+    delta_x = moved - positions  # x - x is +0.0, the zero of a rejected fish
+    positions = moved
     fitness = np.where(accepted, cand_fitness, fitness)
     violation = np.where(accepted, cand_violation, violation)
     return positions, fitness, violation, delta_x, delta_f

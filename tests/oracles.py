@@ -69,3 +69,26 @@ def feasible_ratio_reference(problem, samples: int, seed: int = 0) -> float:
         feasible += int(np.count_nonzero(violation_many(problem, pts) == 0.0))
         remaining -= n
     return feasible / samples
+
+
+def record_differences(a, b) -> list[str]:
+    """The fields of two run records that differ, ``wall_time`` aside.
+
+    Arrays compare by dtype, shape and bytes, and every other field by
+    ``repr``, so a NaN equals itself and -0.0 differs from 0.0.
+    """
+    import dataclasses
+
+    differ = []
+    for f in dataclasses.fields(a):
+        if f.name == "wall_time":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            same = (isinstance(y, np.ndarray) and x.dtype == y.dtype and x.shape == y.shape
+                    and x.tobytes() == y.tobytes())
+        else:
+            same = repr(x) == repr(y)
+        if not same:
+            differ.append(f.name)
+    return differ

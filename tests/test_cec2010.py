@@ -362,6 +362,32 @@ class TestViolationMany:
             assert np.array_equal(np.concatenate(parts), violation_many(problem, rows))
 
 
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_scores_do_not_depend_on_the_batch_size(self, pid):
+        # A stacked school of R runs of n fish scores the R schools and then
+        # the R candidate sets in one 2Rn-row call; a run alone scores its 2n
+        # rows, and a phase switch re-scores the school and candidate rows of
+        # the runs that switched. Every row must get the same bits in each.
+        problem = load_problem(pid).problem
+        runs, n = 25, 30
+        rng = np.random.default_rng([runs, n, PROBLEM_IDS.index(pid)])
+        pts = problem.lower + rng.random((2 * runs * n, DIMENSION)) * problem.range_width
+        whole = evaluate_many(problem, pts)
+        assert np.array_equal(violation_many(problem, pts), whole[1])
+        for size in (60, 120, 240):
+            for start in range(0, len(pts), size):
+                part = slice(start, start + size)
+                for got, want in zip(evaluate_many(problem, pts[part]), whole):
+                    assert np.array_equal(got, want[part]), (size, start)
+                assert np.array_equal(violation_many(problem, pts[part]), whole[1][part])
+        switched = np.array([0, 3, 4, 11, 24])
+        school = (np.arange(n) + n * switched[:, None]).ravel()
+        rows = np.concatenate([school, school + runs * n])
+        for got, want in zip(evaluate_many(problem, pts[rows]), whole):
+            assert np.array_equal(got, want[rows])
+        assert np.array_equal(violation_many(problem, pts[rows]), whole[1][rows])
+
+
 class TestDataFiles:
     def test_round_trip_through_files(self, tmp_path):
         data = write_data_dir(tmp_path / "data", source="surrogate")

@@ -1,16 +1,18 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wrfss import engine
 from wrfss.cec2010 import load_problem
-from wrfss.engine import EngineParams, Variant, decide_phase, run
+from wrfss.engine import EngineParams, Variant, decide_phase, run, run_many
+from wrfss.harness import paper_preset
 from wrfss.problem import Problem, evaluate_many
 from wrfss.school import StepSchedule
 
-from oracles import is_forest
+from oracles import is_forest, record_differences
 
 
 def sphere(d=4, lo=-10.0, hi=10.0):
@@ -507,3 +509,91 @@ class TestRun:
         assert v.k_directions == 200
         assert v.p_g == 0.1
         assert v.perturbation is None
+
+
+# The four variant kinds on C01, C07 and C08 (surrogate data, desk preset at
+# a short budget), the gradient variant at two probe probabilities, each at
+# sigma 0.05 and 0.5.
+ENSEMBLE_VARIANTS = [("wrfss", {}), ("wrfsse", {}), ("wrfssp", {}),
+                     ("wrfssg", {"p_g": 0.1}), ("wrfssg", {"p_g": 0.5})]
+
+
+def ensemble_setup(pid, name, extra, sigma, iterations=80):
+    config = dataclasses.replace(
+        paper_preset(pid, name, desk=True), data_source="surrogate", iterations=iterations,
+        sigma=sigma, k_directions=20, **extra,
+    )
+    return config.load_problem(), config.engine_variant(), config.engine_params()
+
+
+class TestRunMany:
+    """A block of seeds run as one stacked school equals the solo runs."""
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5])
+    @pytest.mark.parametrize("name, extra", ENSEMBLE_VARIANTS)
+    @pytest.mark.parametrize("pid", ["C01", "C07", "C08"])
+    def test_blocks_equal_solo_runs(self, pid, name, extra, sigma):
+        problem, variant, params = ensemble_setup(pid, name, extra, sigma)
+        seeds = [40, 41, 42, 43, 44]
+        alone = [run(problem, variant, params, seed=s) for s in seeds]
+        for size in (1, 2, 3, 5):
+            block = run_many(problem, variant, params, seeds[:size])
+            assert [r.seed for r in block] == seeds[:size]
+            for a, b in zip(alone, block):
+                assert record_differences(a, b) == [], (size, a.seed)
+
+    def test_runs_of_a_block_take_their_own_phases_and_steps(self):
+        # The premise of the per-run state: in this block the runs are in
+        # different phases at some iterations and switch at different ones,
+        # so their boosted steps differ too.
+        problem, variant, params = ensemble_setup("C07", "wrfssg", {"p_g": 0.5}, 0.5)
+        block = run_many(problem, variant, params, [40, 41, 42])
+        phases = np.array([r.trace_phase[1:] for r in block])
+        assert (phases.min(axis=0) != phases.max(axis=0)).any()
+        switches = [phase_switches(r) for r in block]
+        assert len({tuple(s) for s in switches}) > 1
+
+    @pytest.mark.parametrize("kind, seeds, where", [
+        ("base", [7, 8, 9], "objective"),
+        ("gradient", [8, 9, 10], "inequality"),
+    ])
+    def test_aborted_seed_in_a_block_equals_its_solo_record(self, kind, seeds, where):
+        # A ball of the box where one function is not finite. Only the middle
+        # seed of each block steps into it, mid-run; the whole block then
+        # re-runs each seed alone.
+        def bad(x):
+            return ((x[:, 0] - 0.5) ** 2 + (x[:, 1] + 0.3) ** 2) < 0.02**2
+
+        def objective(x):
+            f = (x**2).sum(axis=-1)
+            return np.where(bad(x), np.nan, f) if where == "objective" else f
+
+        def inequality(x):
+            g = x[:, 1] - 0.5
+            return np.where(bad(x), np.nan, g) if where == "inequality" else g
+
+        problem = Problem(dimension=2, lower=np.full(2, -1.0), upper=np.full(2, 1.0),
+                          objective=objective, inequalities=(inequality,))
+        variant = Variant(kind, p_g=0.5, k_directions=5)
+        params = EngineParams(n_fish=6, iterations=60, sigma=0.5)
+        alone = [run(problem, variant, params, seed=s) for s in seeds]
+        assert [r.aborted for r in alone] == [False, True, False]
+        assert 1 < len(alone[1].trace_iteration) < params.iterations
+        assert where in alone[1].error
+        block = run_many(problem, variant, params, seeds)
+        assert [record_differences(a, b) for a, b in zip(alone, block)] == [[]] * 3
+
+    def test_wall_time_is_the_block_share(self, monkeypatch):
+        ticks = iter([5.0, 11.0])
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        block = run_many(sphere(), Variant("base"), EngineParams(n_fish=4, iterations=3),
+                         [1, 2, 3])
+        assert [r.wall_time for r in block] == [2.0, 2.0, 2.0]
+
+    def test_observer_watches_one_run(self):
+        with pytest.raises(ValueError, match="observer"):
+            run_many(sphere(), Variant("base"), EngineParams(n_fish=4, iterations=3), [1, 2],
+                     observer=lambda *args: None)
+
+    def test_no_seeds_no_records(self):
+        assert run_many(sphere(), Variant("base"), EngineParams(n_fish=4, iterations=3), []) == []

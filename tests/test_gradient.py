@@ -121,7 +121,7 @@ class TestPickDirection:
 
 def probe_candidates_of_engine(problem, positions, phase, step_ind, variant, e, rng):
     """The engine's probe-gated candidates: its draws and probes, then its candidates."""
-    moves = _draw_moves(rng, positions, variant, problem, e)
+    moves = _draw_moves([rng], positions, variant, problem, e)
     return _candidates(positions, moves, phase, step_ind, problem.lower, problem.upper,
                        np.empty_like(positions))
 

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import re
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from wrfss import engine
 from wrfss.cec2010 import PROBLEM_IDS, BenchDataError
-from wrfss.engine import EngineParams, RunRecord, Variant
+from wrfss.engine import EngineParams, RunRecord, Variant, run
 from wrfss.harness import (
     VARIANT_NAMES,
     ExperimentConfig,
@@ -21,6 +24,8 @@ from wrfss.harness import (
     run_single,
 )
 from wrfss.problem import Problem
+
+from oracles import record_differences
 
 
 def tiny_config(tmp_path, **kw):
@@ -168,19 +173,47 @@ class TestRunBatch:
         assert stats_a == stats_b
 
     def test_parallel_matches_sequential(self, tmp_path):
-        config = tiny_config(tmp_path)
-        stats_seq, rec_seq = run_batch(config, n_jobs=1)
-        stats_par, rec_par = run_batch(config, n_jobs=2)
-        assert stats_seq == stats_par
-        for a, b in zip(rec_seq, rec_par):
-            assert np.array_equal(a.trace_best_fitness, b.trace_best_fitness)
-        seq = emit_reports(config, stats_seq, rec_seq, out_dir=tmp_path / "seq")
-        par = emit_reports(config, stats_par, rec_par, out_dir=tmp_path / "par")
-        assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == sorted(
-            p.name for p in (tmp_path / "par").iterdir()
-        )
-        for key in seq:
-            assert seq[key].read_bytes() == par[key].read_bytes(), key
+        # n_jobs 1, 2 and 3 cut the 5 seeds into blocks of 5; 3 and 2; 2, 2
+        # and 1. Every record equals its seed's solo run in every field but
+        # wall_time, so the statistics and every report file are the same.
+        for variant in ("wrfsse", "wrfssg"):
+            config = tiny_config(tmp_path, variant=variant, run_count=5, sigma=0.5, p_g=0.5,
+                                 k_directions=8)
+            problem = config.load_problem()
+            alone = [run(problem, config.engine_variant(), config.engine_params(), seed=s)
+                     for s in range(501, 506)]
+            stats_seq, rec_seq = run_batch(config, n_jobs=1)
+            seq_dir = tmp_path / variant / "seq"
+            seq = emit_reports(config, stats_seq, rec_seq, out_dir=seq_dir)
+            for jobs in (1, 2, 3):
+                stats_par, rec_par = run_batch(config, n_jobs=jobs)
+                assert stats_seq == stats_par
+                assert [record_differences(a, b) for a, b in zip(alone, rec_par)] == [[]] * 5
+                par_dir = tmp_path / variant / f"par{jobs}"
+                par = emit_reports(config, stats_par, rec_par, out_dir=par_dir)
+                assert sorted(p.name for p in seq_dir.iterdir()) == sorted(
+                    p.name for p in par_dir.iterdir()
+                )
+                for key in seq:
+                    assert seq[key].read_bytes() == par[key].read_bytes(), (variant, jobs, key)
+
+    def test_block_wall_times_share_its_elapsed_time(self, tmp_path, monkeypatch):
+        # The clock reads 10.0 when a block starts and 13.0 when it ends: each
+        # of its records gets 3.0 / 3 and the shares add up to the 3.0.
+        config = tiny_config(tmp_path, run_count=5)
+        ticks = iter([10.0, 13.0, 20.0, 22.0])
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        _, records = run_batch(config, problem=config.load_problem(), n_jobs=2)
+        assert [r.wall_time for r in records] == [1.0, 1.0, 1.0, 1.0, 1.0]
+        # Measured, a block's shares are equal and add up to at most the batch time.
+        monkeypatch.undo()
+        for jobs, blocks in ((1, [range(5)]), (2, [range(3), range(3, 5)])):
+            start = time.perf_counter()
+            _, records = run_batch(config, n_jobs=jobs)
+            elapsed = time.perf_counter() - start
+            for block in blocks:
+                assert len({records[i].wall_time for i in block}) == 1
+            assert 0.0 < sum(r.wall_time for r in records) <= jobs * elapsed
 
     def test_job_count_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="n_jobs"):
@@ -190,11 +223,14 @@ class TestRunBatch:
         calls = {"n": 0}
 
         def objective(x):
-            # one run scores its initial school, one batch per iteration, and
-            # once more the batch of iteration 0, which switches to phase 2:
-            # 1 + 20 + 1 calls; the 30th falls in the second run
+            # Both seeds run in one stacked block: it scores the initial
+            # schools, one batch per iteration, and once more the candidates
+            # of iteration 0, which switches both runs to phase 2. The 5th
+            # call (iteration 2) fails, so the block re-runs each seed alone.
+            # A solo run makes 1 + 20 + 1 calls: the first takes calls 6-27,
+            # and the 37th falls in iteration 7 of the second.
             calls["n"] += 1
-            if calls["n"] == 30:
+            if calls["n"] in (5, 37):
                 return np.full(x.shape[0], np.nan)
             return (x**2).sum(axis=-1)
 
@@ -206,9 +242,18 @@ class TestRunBatch:
         )
         config = tiny_config(tmp_path, run_count=2, iterations=20, n_fish=5)
         stats, records = run_batch(config, problem=problem)
+        assert calls["n"] == 37
         assert stats.failed_runs == 1
         assert stats.completed_runs == 1
         assert [r.aborted for r in records] == [False, True]
+        assert "objective" in records[1].error
+        assert list(records[1].trace_iteration) == list(range(8))
+        # the failed run is excluded from the statistics
+        assert stats.fitness_mean == records[0].best_fitness
+        # the sibling completed as its solo run does
+        healthy = dataclasses.replace(problem, objective=lambda x: (x**2).sum(axis=-1))
+        alone = run(healthy, config.engine_variant(), config.engine_params(), seed=501)
+        assert record_differences(records[0], alone) == []
 
 
 class TestReports:

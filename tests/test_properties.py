@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrfss.engine import VARIANT_KINDS, EngineParams, Variant, run
+from wrfss.engine import VARIANT_KINDS, EngineParams, Variant, run, run_many
 from wrfss.problem import Problem, evaluate_many
 
-from oracles import is_forest
+from oracles import is_forest, record_differences
 
 unit = st.floats(0.0, 1.0)
 
@@ -144,3 +144,16 @@ def test_trace_rows_follow_feasibility_rules(kind, data):
                 if beats(f, v, *best):
                     best = (f, v)
         assert rows[t + 1] == best, t
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_equals_solo_runs(kind, data):
+    problem = data.draw(problems())
+    params = data.draw(engine_params())
+    variant = data.draw(variants(kind))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    block = run_many(problem, variant, params, seeds)
+    for seed, record in zip(seeds, block):
+        assert record_differences(run(problem, variant, params, seed=seed), record) == []

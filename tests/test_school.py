@@ -315,7 +315,7 @@ class TestCollectiveVolitive:
         flags = []
 
         def volitive(positions, weights, links, step_vol, gained, *rest):
-            flags.append(gained)
+            flags.append(bool(gained))  # the engine passes one flag per run; this is one run
             return leader_volitive_step(positions, weights, links, step_vol, gained, *rest)
 
         monkeypatch.setattr(engine, "leader_volitive_step", volitive)
