@@ -23,21 +23,20 @@ __all__ = [
 ]
 
 
-def best_index(fitness: np.ndarray, violation: np.ndarray) -> int | np.ndarray:
-    """Index of the feasibility-rules best entry of a population; a tie keeps the first.
+def best_index(fitness: np.ndarray, violation: np.ndarray) -> np.ndarray:
+    """Index of the feasibility-rules best entry of each row; a tie keeps the first.
 
-    A 2-D pair of arrays holds one population per row, and gives one index
-    per row.
+    The (R, k) arrays hold one population per row (one per run), and the
+    result holds one index per row.
     """
     feasible = violation == 0.0
-    some = feasible.any(axis=-1)
+    some = feasible.any(axis=1)
     if not some.any():
-        index = violation.argmin(axis=-1)
-    else:
-        index = np.where(feasible, fitness, np.inf).argmin(axis=-1)
-        if not some.all():
-            index = np.where(some, index, violation.argmin(axis=-1))
-    return int(index) if index.ndim == 0 else index
+        return violation.argmin(axis=1)
+    index = np.where(feasible, fitness, np.inf).argmin(axis=1)
+    if not some.all():
+        index = np.where(some, index, violation.argmin(axis=1))
+    return index
 
 
 def epsilon_less_arrays(
@@ -138,21 +137,22 @@ def normalized_feeding(
 class RunningExtremes:
     """Minimum and maximum of every value seen so far; ``update`` returns the widened pair.
 
-    A pair of (R, 1) arrays holds the extremes of R runs, and its ``update``
+    The pair of (R, 1) arrays holds the extremes of R runs, and ``update``
     takes a (R, n) array, one row of values per run.
     """
 
-    min: float | np.ndarray = math.inf
-    max: float | np.ndarray = -math.inf
+    min: np.ndarray
+    max: np.ndarray
+
+    @classmethod
+    def empty(cls, runs: int) -> RunningExtremes:
+        """The extremes of R runs that have seen nothing: min inf above max -inf."""
+        return cls(np.full((runs, 1), math.inf), np.full((runs, 1), -math.inf))
 
     def update(self, values: np.ndarray) -> RunningExtremes:
-        values = np.asarray(values, dtype=float)
         if not values.size:
             return self
-        if values.ndim == 2:
-            return RunningExtremes(
-                np.minimum(self.min, np.minimum.reduce(values, axis=1, keepdims=True)),
-                np.maximum(self.max, np.maximum.reduce(values, axis=1, keepdims=True)),
-            )
-        lo, hi = float(values.min()), float(values.max())
-        return RunningExtremes(min(self.min, lo), max(self.max, hi))
+        return RunningExtremes(
+            np.minimum(self.min, np.minimum.reduce(values, axis=1, keepdims=True)),
+            np.maximum(self.max, np.maximum.reduce(values, axis=1, keepdims=True)),
+        )

@@ -1,13 +1,13 @@
 """Two-phase constrained search engine and its variant assembly.
 
-Each iteration draws the random numbers of the individual movement, scores
-the school together with its candidates in one batch, decides the active
-phase from the feasible proportion (phase 1 minimizes the violation measure,
-phase 2 the fitness), accepts candidates under the variant's rule, feeds
-weights by normalizing the active objective against its running extremes,
-then applies the leader-aware instinctive and volitive movements around the
-link structure. Step sizes get a one-off boost at every phase 1 to phase 2
-transition.
+Each iteration first draws all of its random numbers in one call, then
+scores the school together with its candidates in one batch, decides the
+active phase from the feasible proportion (phase 1 minimizes the violation
+measure, phase 2 the fitness), accepts candidates under the variant's rule,
+feeds weights by normalizing the active objective against its running
+extremes, then applies the leader-aware instinctive and volitive movements
+around the link structure. Step sizes get a one-off boost at every phase 1
+to phase 2 transition.
 
 Variants share one code path so that degenerate parameter choices reproduce
 the base behavior exactly (same random stream, same decisions): the epsilon
@@ -148,16 +148,13 @@ class EngineParams:
         )
 
 
-def decide_phase(violations: np.ndarray, sigma: float) -> int | list[int]:
-    """Phase 2 when the feasible proportion reaches ``sigma``, else phase 1.
+def decide_phase(violations: np.ndarray, sigma: float) -> list[int]:
+    """One phase per row of the (R, n) ``violations``, one school per run.
 
-    A 2-D array holds one school per row (one per run), and gives a list of
-    one phase per row.
+    A row is in phase 2 when its feasible proportion reaches ``sigma``, else
+    in phase 1.
     """
-    violations = np.asarray(violations)
-    n = violations.shape[-1]
-    if violations.ndim == 1:
-        return 2 if np.count_nonzero(violations == 0.0) / n >= sigma else 1
+    n = violations.shape[1]
     feasible = np.add.reduce(violations == 0.0, axis=1).tolist()
     return [2 if count / n >= sigma else 1 for count in feasible]
 
@@ -229,88 +226,124 @@ def _active_objective(
     return np.where(phase == 1, violation, phase2) if per_run else phase2
 
 
-class _Moves(NamedTuple):
-    """The random numbers of one individual movement, and its probe gradients.
+class _Draws(NamedTuple):
+    """Every random number of one iteration of a school of R runs of n fish.
 
-    ``offsets`` holds the uniform [-1, 1) step of each plain fish (a zero row
-    for a probing fish), and ``counts`` the number of probing fish of each
-    run (None when no fish can probe). For the p probing fish, ``probing``
-    holds their indices, ``gradient`` (p, D) their violation gradients,
+    The first five arrays are buffers that ``_run_school`` allocates once and
+    ``_draw`` refills: ``offsets`` (Rn, D) holds the uniform [-1, 1) step of
+    each plain fish (a probing fish's row is left unused), ``sar`` (Rn,) the
+    uniform [0, 1) draws of the stagnation-avoidance rule, ``partners`` (Rn,)
+    each fish's stack-wide link peer (empty when n is 1), ``volitive`` (Rn, D)
+    the uniform [0, 1) volitive steps and ``probes`` (R,) each run's number of
+    probing fish. For the p probing fish, ``probing`` holds their indices,
     ``normals`` (p, K, D) their direction samples and ``fractions`` (p,) their
     step fractions.
     """
 
     offsets: np.ndarray
-    counts: list[int] | None = None
+    sar: np.ndarray
+    partners: np.ndarray
+    volitive: np.ndarray
+    probes: np.ndarray
     probing: np.ndarray = np.empty(0, dtype=np.intp)
-    gradient: np.ndarray | None = None
     normals: np.ndarray | None = None
     fractions: np.ndarray | None = None
+
+    @classmethod
+    def empty(cls, runs: int, n: int, d: int) -> _Draws:
+        """The buffers of a school of R runs of n fish in D dimensions."""
+        size = runs * n
+        # Zeros, as a probing fish's unused row is still scaled by its step.
+        return cls(
+            offsets=np.zeros((size, d)), sar=np.empty(size),
+            partners=np.empty(size if n > 1 else 0, dtype=np.int64),
+            volitive=np.empty((size, d)), probes=np.zeros(runs, dtype=np.int64),
+        )
 
 
 def _stack(blocks: list[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _draw_moves(
-    rngs: list[np.random.Generator],
-    positions: np.ndarray,
-    variant: Variant,
-    problem: Problem,
-    e: np.ndarray,
-) -> _Moves:
-    """The draws of one individual movement, and the probes' gradients.
+def _draw(rngs: list[np.random.Generator], variant: Variant, out: _Draws) -> _Draws:
+    """Draw every random number of one iteration into ``out``; return it with the probe draws.
 
-    A variant that cannot probe (not gradient, or ``p_g`` 0) draws no gate:
-    its school takes one plain uniform block, the base variant's stream. With
-    a gate, a fish whose gate draw falls below ``p_g`` probes; every other
-    fish takes the plain uniform step. The random numbers are drawn fish by
-    fish, in index order, as if each fish were handled alone: one uniform
-    block per run of plain fish, and the ``k_directions`` normal samples then
-    the step fraction of each probing fish. No draw depends on a score, so the
-    D+1 forward-difference rows (steps ``e``) of all p probing fish are scored
-    afterwards in one ``violation_many`` call of p * (D+1) rows.
+    After the initial school, this is the only code that calls a run's
+    generator. Run r draws from ``rngs[r]`` exactly what it draws alone, in
+    this order:
 
-    ``positions`` holds one run of n consecutive fish per generator of
-    ``rngs``, and each run draws from its own generator what it draws alone;
-    the probes of all runs share the one call.
+    1. the individual movement. A variant that can probe (gradient, with
+       ``p_g`` above 0) first draws n uniform gates, and a fish whose gate
+       falls below ``p_g`` probes. Then, fish by fish in index order as if
+       each were handled alone: one uniform [-1, 1) block per run of
+       consecutive plain fish, and the ``k_directions`` x D standard normals
+       then the uniform step fraction of each probing fish. A variant that
+       cannot probe draws no gate, so its school takes one (n, D) block;
+    2. n uniform draws of the stagnation-avoidance rule;
+    3. n link partners, one integer in [0, n - 1) per fish that skips the
+       fish itself, when n > 1;
+    4. the (n, D) uniform draws of the volitive move.
+
+    No draw depends on a score, so one call at the start of the iteration
+    draws them all, and the stage functions draw nothing.
     """
-    size, d = positions.shape
+    size, d = out.offsets.shape
     n = size // len(rngs)
-    if variant.kind != "gradient" or variant.p_g == 0.0:
-        if len(rngs) == 1:
-            return _Moves(rngs[0].uniform(-1.0, 1.0, (n, d)))
-        return _Moves(np.concatenate([g.uniform(-1.0, 1.0, (n, d)) for g in rngs]))
-    offsets = np.zeros((size, d))
+    gate = variant.kind == "gradient" and variant.p_g > 0.0
+    index = np.arange(n)
     probing, normals, fractions = [], [], []
     for r, g in enumerate(rngs):
-        gated = (g.random(n) < variant.p_g).nonzero()[0]
-        run_normals = np.empty((gated.size, variant.k_directions, d))
-        run_fractions = np.empty(gated.size)
+        first, end = r * n, (r + 1) * n
+        offsets = out.offsets[first:end]
         start = 0  # first fish of the current run of plain fish; an empty run draws nothing
-        run_offsets = offsets[r * n:(r + 1) * n]
-        for j, i in enumerate(gated.tolist()):
-            run_offsets[start:i] = g.uniform(-1.0, 1.0, (i - start, d))
-            g.standard_normal(out=run_normals[j])
-            run_fractions[j] = g.random()
-            start = i + 1
-        run_offsets[start:] = g.uniform(-1.0, 1.0, (n - start, d))
-        probing.append(gated + r * n if r else gated)
-        normals.append(run_normals)
-        fractions.append(run_fractions)
-    counts = [gated.size for gated in probing]
-    probing = _stack(probing)
+        if gate:
+            gated = (g.random(n) < variant.p_g).nonzero()[0]
+            run_normals = np.empty((gated.size, variant.k_directions, d))
+            run_fractions = np.empty(gated.size)
+            for j, i in enumerate(gated.tolist()):
+                offsets[start:i] = g.uniform(-1.0, 1.0, (i - start, d))
+                g.standard_normal(out=run_normals[j])
+                run_fractions[j] = g.random()
+                start = i + 1
+            out.probes[r] = gated.size
+            if gated.size:
+                probing.append(gated + first if r else gated)
+                normals.append(run_normals)
+                fractions.append(run_fractions)
+        offsets[start:] = g.uniform(-1.0, 1.0, (n - start, d))
+        g.random(out=out.sar[first:end])
+        if n > 1:
+            raw = g.integers(0, n - 1, size=n)
+            raw += raw >= index
+            if r:
+                raw += first
+            out.partners[first:end] = raw
+        g.random(out=out.volitive[first:end])
+    if not probing:
+        return out
+    return out._replace(
+        probing=_stack(probing), normals=_stack(normals), fractions=_stack(fractions)
+    )
+
+
+def _probe(
+    problem: Problem, positions: np.ndarray, probing: np.ndarray, e: np.ndarray
+) -> np.ndarray | None:
+    """The (p, D) violation gradients of the p probing fish, None when no fish probes.
+
+    The D+1 forward-difference rows (steps ``e``) of all probing fish are
+    scored in one ``violation_many`` call of p * (D+1) rows.
+    """
     if not probing.size:
-        return _Moves(offsets, counts)
-    score = partial(violation_many, problem)
-    gradient = forward_gradient(score, positions[probing], e)
-    return _Moves(offsets, counts, probing, gradient, _stack(normals), _stack(fractions))
+        return None
+    return forward_gradient(partial(violation_many, problem), positions[probing], e)
 
 
 def _candidates(
     positions: np.ndarray,
-    moves: _Moves,
-    phase: int | list[int],
+    draws: _Draws,
+    gradient: np.ndarray | None,
+    phase: int | np.ndarray,
     step_ind: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -319,27 +352,28 @@ def _candidates(
     """Individual-movement candidates, written into ``out`` and clipped into the box.
 
     A plain fish steps ``offsets * step_ind``. A probing fish steps
-    step_ind * fraction along the direction its gradient picks among its
-    normal samples (steepest descent in phase 1, flattest in phase 2). In a
-    school of R runs of consecutive fish, ``phase`` may be an array of one
-    phase per run and ``step_ind`` one (D,) row per run.
+    step_ind * fraction along the direction its row of the (p, D)
+    ``gradient`` picks among its normal samples (steepest descent in phase 1,
+    flattest in phase 2). In a school of R runs of consecutive fish,
+    ``phase`` may be an array of one phase per run and ``step_ind`` one (D,)
+    row per run.
     """
     size, d = positions.shape
     if step_ind.ndim == 1:
-        np.multiply(moves.offsets, step_ind, out=out)
+        np.multiply(draws.offsets, step_ind, out=out)
     else:
         runs = len(step_ind)
         np.multiply(
-            moves.offsets.reshape(runs, -1, d), step_ind[:, None], out=out.reshape(runs, -1, d)
+            draws.offsets.reshape(runs, -1, d), step_ind[:, None], out=out.reshape(runs, -1, d)
         )
     out += positions
-    probing = moves.probing
+    probing = draws.probing
     if probing.size:
         if isinstance(phase, np.ndarray):
             phase = phase.reshape(-1)[probing // (size // phase.size)]
-        u = pick_direction(moves.gradient, moves.normals, phase)
+        u = pick_direction(gradient, draws.normals, phase)
         step = step_ind if step_ind.ndim == 1 else step_ind[probing // (size // len(step_ind))]
-        out[probing] = positions[probing] + step * moves.fractions[:, None] * u
+        out[probing] = positions[probing] + step * draws.fractions[:, None] * u
     np.maximum(out, lower, out=out)
     return np.minimum(out, upper, out=out)
 
@@ -359,16 +393,6 @@ def _steps(
         return ind * width, vol * width
     ind, vol = np.array([schedule.at(t) for schedule in schedules]).T
     return ind[:, None] * width, vol[:, None] * width
-
-
-def _fill(rngs: list[np.random.Generator], out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, one block of consecutive rows per run, with each run's uniform [0, 1) draws."""
-    if len(rngs) == 1:
-        return rngs[0].random(out=out)
-    rows = len(out) // len(rngs)
-    for r, g in enumerate(rngs):
-        g.random(out=out[r * rows:(r + 1) * rows])
-    return out
 
 
 def _one_phase(phase: list[int]) -> int | np.ndarray:
@@ -397,15 +421,9 @@ def _merge_best(
     won = index.nonzero()[0]
     if not won.size:
         return
-    best_f[won] = fitness[won, index[won]]
-    best_v[won] = violation[won, index[won]]
-    for r in won.tolist():
-        j = int(index[r]) - 1
-        for f, _, x in scored:
-            if j < f.shape[1]:
-                best_x[r] = x[r, j]
-                break
-            j -= f.shape[1]
+    at = (won, index[won])
+    best_f[won], best_v[won] = fitness[at], violation[at]
+    best_x[won] = np.concatenate([best_x[:, None]] + [x for _, _, x in scored], axis=1)[at]
 
 
 def run(
@@ -438,7 +456,8 @@ def run_many(
     """Execute one seeded run per seed, all as one stacked school; one record per seed.
 
     Each run draws from its own ``default_rng(seed)`` exactly what it draws
-    alone, and makes the same decisions on the same scores. So when the
+    alone: the initial school, then per iteration the numbers ``_draw`` lists,
+    in its order. It makes the same decisions on the same scores. So when the
     problem scores each row of a batch independently of the other rows, as
     every CEC 2010 problem here does, each record equals the record ``run``
     gives its seed alone in every field but ``wall_time``. That is the
@@ -489,8 +508,7 @@ def _run_school(
     schedules = [params.step_schedule()] * runs
     # The running extremes of each run's active objective, in its current
     # phase and in the other one.
-    extremes = RunningExtremes(np.full((runs, 1), math.inf), np.full((runs, 1), -math.inf))
-    other_extremes = RunningExtremes(np.full((runs, 1), math.inf), np.full((runs, 1), -math.inf))
+    extremes, other_extremes = RunningExtremes.empty(runs), RunningExtremes.empty(runs)
     if variant.perturbation is None:
         e_vec = 1e-6 * width
     else:
@@ -508,15 +526,15 @@ def _run_school(
     best = (np.full(runs, math.inf), np.full(runs, math.inf), np.full((runs, d), math.nan))
     phase = [1] * runs  # so a school already feasible at t=0 gets one step boost
     shared = 1  # the phase of every run, or an array of each run's phase when they differ
-    probe_count = [0] * runs
+    probe_count = np.zeros(runs, dtype=np.int64)
     aborted = False
     error = ""
 
-    positions = lower + _fill(rngs, np.empty((size, d))) * width
+    positions = lower + np.concatenate([g.random((n, d)) for g in rngs]) * width
     batch = np.empty((2 * size, d))  # the school, then its candidates, scored in one call
     candidates = batch[size:]
-    sar_draws = np.empty(size)
-    volitive_draws = np.empty((size, d))
+    batch_rows = np.arange(2 * size).reshape(2, runs, n)  # by half, run and fish
+    buffers = _Draws.empty(runs, n, d)
     weights = np.full(size, params.w_scale / 2.0)
     # The volitive move contracts when a run's total weight grew since the
     # previous iteration, and expands otherwise; the first compares with the
@@ -550,16 +568,16 @@ def _run_school(
 
         school_x = batch[:size].reshape(runs, n, d)
         for t in range(params.iterations):
-            # Individual movement: first every random number it draws, and the
-            # gradient probes, which need no score of the school; then the
+            # Every random number of the iteration, then the gradient probes,
+            # which need no score of the school, and the individual movement's
             # candidates for the previous iteration's phase and un-boosted step.
-            moves = _draw_moves(rngs, positions, variant, problem, e_vec)
-            if moves.probing.size:
-                for r, count in enumerate(moves.counts):
-                    probe_count[r] += count
+            draws = _draw(rngs, variant, buffers)
+            gradient = _probe(problem, positions, draws.probing, e_vec)
+            if gradient is not None:
+                probe_count += draws.probes
             step_ind, step_vol = _steps(schedules, t, width)
             batch[:size] = positions
-            _candidates(positions, moves, shared, step_ind, lower, upper, candidates)
+            _candidates(positions, draws, gradient, shared, step_ind, lower, upper, candidates)
             # One call scores the school, unscored since the collective
             # movements of the previous iteration, and the candidates.
             batch_fitness, batch_violation = evaluate_many(problem, batch)
@@ -573,35 +591,29 @@ def _run_school(
             if new_phase != phase:
                 # Rebuild the candidates from the same draws for the new phase
                 # (and step, boosted on a switch to phase 2), and re-score the
-                # school and candidate rows of the runs that switched, the rows
-                # a run alone re-scores. A switch to phase 1 with no probing
+                # school and candidate rows of the runs that switched, in batch
+                # order: the rows a run alone re-scores, and the whole batch
+                # when every run switched. A switch to phase 1 with no probing
                 # fish boosts nothing and picks no direction, so the candidates
                 # already scored stand, as do those of every run whose phase
                 # stays, which are rebuilt unchanged.
                 changed = [r for r in range(runs) if new_phase[r] != phase[r]]
-                switched = [r for r in changed if new_phase[r] == 2 or moves.probing.size
-                            and moves.counts[r]]
+                switched = [r for r in changed if new_phase[r] == 2 or draws.probes[r]]
                 for r in changed:
                     if new_phase[r] == 2:
                         schedules[r] = schedules[r].boost(params.tau, t)
-                if len(changed) == runs:
-                    extremes, other_extremes = other_extremes, extremes
-                else:
                     for mine, others in ((extremes.min, other_extremes.min),
                                          (extremes.max, other_extremes.max)):
-                        mine[changed], others[changed] = others[changed], mine[changed]
+                        mine[r, 0], others[r, 0] = others[r, 0], mine[r, 0]
                 shared = _one_phase(new_phase)
                 if switched:
                     step_ind, step_vol = _steps(schedules, t, width)
-                    _candidates(positions, moves, shared, step_ind, lower, upper, candidates)
-                    if len(switched) == runs:
-                        batch_fitness[:], batch_violation[:] = evaluate_many(problem, batch)
-                    else:
-                        school_rows = (np.arange(n) + n * np.array(switched)[:, None]).ravel()
-                        redo = np.concatenate([school_rows, school_rows + size])
-                        batch_fitness[redo], batch_violation[redo] = evaluate_many(
-                            problem, batch[redo]
-                        )
+                    _candidates(positions, draws, gradient, shared, step_ind, lower, upper,
+                                candidates)
+                    redo = batch_rows[:, switched].ravel()
+                    batch_fitness[redo], batch_violation[redo] = evaluate_many(
+                        problem, batch[redo]
+                    )
             phase = new_phase
             active, cand_active = _active_objective(
                 batch_fitness.reshape(2, runs, n), batch_violation.reshape(2, runs, n),
@@ -621,8 +633,7 @@ def _run_school(
             else:
                 better = cand_active < active
             alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)
-            _fill(rngs, sar_draws)
-            accepted = better | (sar_draws < alpha)
+            accepted = better | (draws.sar < alpha)
             positions, fitness, violation, delta_x, delta_f = accept(
                 accepted, candidates, cand_fitness, cand_violation, active - cand_active,
                 positions, fitness, violation,
@@ -646,13 +657,12 @@ def _run_school(
             positions = leader_instinctive_step(
                 positions, delta_x, delta_f, links, t / params.iterations, lower, upper,
             )
-            links = link_formator(weights, links, rngs)
+            links = link_formator(weights, links, draws.partners)
             previous_total = total_weight
             total_weight = np.add.reduce(weights.reshape(runs, n), axis=1)
-            _fill(rngs, volitive_draws)
             positions = leader_volitive_step(
                 positions, weights, links, step_vol, total_weight > previous_total,
-                volitive_draws, lower, upper,
+                draws.volitive, lower, upper,
             )
 
             trace_f[t + 1], trace_v[t + 1] = best[0], best[1]
@@ -673,6 +683,7 @@ def _run_school(
         error = str(exc)
 
     phases = np.array(trace_phase, dtype=np.int8).reshape(rows, runs)
+    probes = probe_count.tolist()
     records = []
     for r, seed in enumerate(seeds):
         best_f, best_v = (float(best[0][r]), float(best[1][r])) if rows else (math.nan, math.nan)
@@ -690,8 +701,8 @@ def _run_school(
             best_violation=best_v,
             best_position=best[2][r].copy(),
             # the initial school, the batches that returned, and the probes
-            eval_count=(n if rows else 0) + 2 * n * batches + (d + 1) * probe_count[r],
-            probe_count=probe_count[r],
+            eval_count=(n if rows else 0) + 2 * n * batches + (d + 1) * probes[r],
+            probe_count=probes[r],
             wall_time=0.0,
             aborted=aborted,
             error=error,

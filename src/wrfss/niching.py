@@ -1,10 +1,11 @@
 """Sub-school formation through follower/leader links.
 
-The link formator lets each fish sample one random peer per iteration and
-follow it when the peer is heavier; an existing follower may switch leaders
-when its own followers collectively outweigh the sampled peer. Links from a
-follower grown heavier than its leader are broken after the pass, and links
-that would close a cycle are refused, so the graph is always a forest.
+The link formator lets each fish meet one random peer per iteration, drawn
+by the engine, and follow it when the peer is heavier; an existing follower
+may switch leaders when its own followers collectively outweigh the peer.
+Links from a follower grown heavier than its leader are broken after the
+pass, and links that would close a cycle are refused, so the graph is always
+a forest. No function here draws a random number.
 
 The collective movements are leader-aware, with no school-wide aggregate:
 the instinctive drift mixes only the fish's own displacement with its
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -59,47 +59,31 @@ def _chain_reaches(leader: list[int], start: int, target: int) -> bool:
     return False
 
 
-def link_formator(
-    weights: np.ndarray,
-    links: LinkGraph,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> LinkGraph:
+def link_formator(weights: np.ndarray, links: LinkGraph, partners: np.ndarray) -> LinkGraph:
     """One link-formation pass over the school in index order.
 
-    Each fish a samples one uniform random peer b != a. A leaderless a starts
-    following a strictly heavier b; an a that already has a leader switches to
-    b when the summed weight of a's own followers exceeds b's weight. Any link
-    that would close a cycle is refused. Afterwards every link whose follower
-    became strictly heavier than its leader is broken.
+    Each fish a meets its sampled peer b = ``partners[a]``. A leaderless a
+    starts following a strictly heavier b; an a that already has a leader
+    switches to b when the summed weight of a's own followers exceeds b's
+    weight. Any link that would close a cycle is refused. Afterwards every
+    link whose follower became strictly heavier than its leader is broken.
 
-    A sequence of R generators makes the school R runs of n = len(weights) / R
-    consecutive fish: each run draws its peers from its own generator and
-    within its own fish, and as no link crosses runs, the one pass gives each
-    run the links it gets alone.
+    The pass draws nothing: the engine samples each peer uniformly among the
+    other fish of the same run and passes stack-wide indices, so no link
+    crosses runs and one pass gives each run the links it gets alone. A
+    school of one-fish runs has no peers; its ``partners`` is empty and its
+    links stay empty.
     """
-    rngs = rng if isinstance(rng, (list, tuple)) else [rng]
-    n = len(links.leader) // len(rngs)
-    if n < 2:
-        return LinkGraph(leader=links.leader.copy())
     # The pass is scalar work per fish, so it runs on Python lists; the floats
     # and their summation order are those of the arrays.
-    w = np.asarray(weights, dtype=float).tolist()
+    w = weights.tolist()
     leader = links.leader.tolist()
-    index = np.arange(n)
-    partner = []
-    for r, g in enumerate(rngs):
-        raw = g.integers(0, n - 1, size=n)
-        raw += raw >= index
-        if r:
-            raw += r * n
-        partner += raw.tolist()
-
     follower_sum = [0.0] * len(leader)
     for a, l in enumerate(leader):
         if l >= 0:
             follower_sum[l] += w[a]
 
-    for a, b in enumerate(partner):
+    for a, b in enumerate(partners.tolist()):
         current = leader[a]
         if current < 0:
             if w[b] > w[a] and not _chain_reaches(leader, b, a):

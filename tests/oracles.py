@@ -50,6 +50,27 @@ def probe_candidates(violation_rows, positions, phase, step_ind, variant, e, rng
     return np.clip(candidates, lower, upper, out=candidates)
 
 
+def draw_rest_of_iteration(rng, n, d):
+    """The draws one run makes after its individual movement, in the engine's order.
+
+    n uniform draws of the stagnation-avoidance rule; n link partners when
+    n > 1, each a uniform integer in [0, n - 1) moved up by one from the
+    fish's own index on (so it skips the fish); and the (n, D) uniform
+    volitive draws.
+    """
+    sar = rng.random(n)
+    partners = np.empty(0, dtype=np.int64)
+    if n > 1:
+        raw = rng.integers(0, n - 1, size=n)
+        partners = raw + (raw >= np.arange(n))
+    return sar, partners, rng.random((n, d))
+
+
+def random_partners(rng, n):
+    """One uniform peer per fish among the n - 1 others: a random nonzero shift mod n."""
+    return (np.arange(n) + rng.integers(1, n, n)) % n if n > 1 else np.empty(0, dtype=np.int64)
+
+
 def feasible_ratio_reference(problem, samples: int, seed: int = 0) -> float:
     """Sequential reference of ``cec2010.feasible_ratio``.
 

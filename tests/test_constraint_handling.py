@@ -230,27 +230,28 @@ class TestNormalizedFeeding:
 
 
 def test_best_index_follows_feasibility_rules():
-    f = np.array([5.0, 1.0, 3.0, 2.0])
-    v = np.array([0.0, 2.0, 0.0, 1.0])
-    assert best_index(f, v) == 2  # best fitness among feasible
-    v_all = np.array([3.0, 2.0, 4.0, 1.0])
-    assert best_index(f, v_all) == 3  # least violation when none feasible
-    # no member of a random population beats the chosen one
+    f = np.array([[5.0, 1.0, 3.0, 2.0]] * 2)
+    v = np.array([[0.0, 2.0, 0.0, 1.0], [3.0, 2.0, 4.0, 1.0]])
+    # best fitness among feasible; least violation when none is feasible
+    assert best_index(f, v).tolist() == [2, 3]
+    assert best_index(f[:1], v[:1]).tolist() == [2]
+    assert best_index(f[1:], v[1:]).tolist() == [3]
+    # no member of a random population beats the one chosen for its row
     rng = np.random.default_rng(43)
     for _ in range(200):
-        f, v = random_pairs(rng, int(rng.integers(1, 12)))
-        i = best_index(f, v)
-        assert not feasibility_rules(f, v, f[i], v[i]).any()
+        runs, k = int(rng.integers(1, 4)), int(rng.integers(1, 12))
+        f, v = (a.reshape(runs, k) for a in random_pairs(rng, runs * k))
+        for r, i in enumerate(best_index(f, v).tolist()):
+            assert not feasibility_rules(f[r], v[r], f[r, i], v[r, i]).any()
 
 
 def test_running_extremes():
-    empty = RunningExtremes()
-    assert not empty.min <= empty.max  # nothing seen yet
-    ext = empty.update(np.array([3.0, -1.0])).update(np.array([2.0]))
-    assert not empty.min <= empty.max  # update returns a new pair
-    assert ext.update(np.array([])) == ext
-    assert ext.min == -1.0
-    assert ext.max == 3.0
-    assert ext.min <= ext.max
+    empty = RunningExtremes.empty(2)
+    assert not (empty.min <= empty.max).any()  # nothing seen yet
+    ext = empty.update(np.array([[3.0, -1.0], [5.0, 6.0]])).update(np.array([[2.0], [7.0]]))
+    assert not (empty.min <= empty.max).any()  # update returns a new pair
+    assert ext.update(np.empty((2, 0))) is ext
+    assert ext.min.tolist() == [[-1.0], [5.0]]
+    assert ext.max.tolist() == [[3.0], [7.0]]
     with pytest.raises(dataclasses.FrozenInstanceError):
         ext.min = 0.0

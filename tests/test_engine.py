@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ from wrfss.harness import paper_preset
 from wrfss.problem import Problem, evaluate_many
 from wrfss.school import StepSchedule
 
-from oracles import is_forest, record_differences
+from oracles import draw_rest_of_iteration, is_forest, record_differences
 
 
 def sphere(d=4, lo=-10.0, hi=10.0):
@@ -68,19 +70,19 @@ def records_equal(a, b):
 
 class TestDecidePhase:
     def test_two_of_thirty_feasible_crosses_five_percent(self):
-        violations = np.array([0.0] * 2 + [1.0] * 28)
-        assert 2 / 30 >= 0.05
-        assert decide_phase(violations, 0.05) == 2
+        violations = np.array([[0.0] * 2 + [1.0] * 28, [0.0] + [1.0] * 29])
+        assert 2 / 30 >= 0.05 > 1 / 30
+        assert decide_phase(violations, 0.05) == [2, 1]
 
     def test_no_feasible_fish_is_phase_one(self):
-        assert decide_phase(np.ones(30), 0.05) == 1
+        assert decide_phase(np.ones((2, 30)), 0.05) == [1, 1]
 
     def test_zero_threshold_always_phase_two(self):
-        assert decide_phase(np.ones(30), 0.0) == 2
+        assert decide_phase(np.ones((1, 30)), 0.0) == [2]
 
     def test_boundary_is_inclusive(self):
-        violations = np.array([0.0, 1.0, 1.0, 1.0])  # exactly 25%
-        assert decide_phase(violations, 0.25) == 2
+        violations = np.array([[0.0, 1.0, 1.0, 1.0]])  # exactly 25%
+        assert decide_phase(violations, 0.25) == [2]
 
 
 @pytest.fixture
@@ -597,3 +599,138 @@ class TestRunMany:
 
     def test_no_seeds_no_records(self):
         assert run_many(sphere(), Variant("base"), EngineParams(n_fish=4, iterations=3), []) == []
+
+    def test_a_switch_of_every_run_rescores_the_whole_batch_in_order(self, monkeypatch):
+        # Every fish of the sphere is feasible, so at t=0 every run switches to
+        # phase 2 and re-scores its boosted candidates: one call of all 2Rn
+        # rows in batch order, which scores each row as the first call did
+        # even on a problem whose rounding depends on the batch.
+        calls = []
+
+        def scoring(problem, points):
+            calls.append(points.copy())
+            return evaluate_many(problem, points)
+
+        monkeypatch.setattr(engine, "evaluate_many", scoring)
+        size = 3 * 4
+        run_many(sphere(), Variant("base"), EngineParams(n_fish=4, iterations=1), [1, 2, 3])
+        assert [len(points) for points in calls] == [size, 2 * size, 2 * size]
+        assert np.array_equal(calls[2][:size], calls[1][:size])
+        assert not np.array_equal(calls[2][size:], calls[1][size:])
+
+
+def documented_draws(rng, variant, n, d):
+    """One run's draws of one iteration, made one by one in the order ``_draw`` documents."""
+    can_probe = variant.kind == "gradient" and variant.p_g > 0.0
+    gate = rng.random(n) if can_probe else np.ones(n)
+    offsets, probes = {}, []
+    for i in range(n):
+        if can_probe and gate[i] < variant.p_g:
+            normals = rng.standard_normal((variant.k_directions, d))
+            probes.append((i, normals, rng.random()))
+        else:
+            offsets[i] = rng.uniform(-1.0, 1.0, d)
+    return (offsets, probes, *draw_rest_of_iteration(rng, n, d))
+
+
+class TestDraw:
+    """``engine._draw`` is the one owner of every run's random stream."""
+
+    @pytest.mark.parametrize("variant, n", [
+        (Variant("base"), 5),
+        (Variant("gradient", k_directions=4, p_g=0.5), 6),
+        (Variant("gradient", k_directions=4, p_g=1.0), 5),
+        (Variant("base"), 1),
+        (Variant("gradient", k_directions=4, p_g=0.5), 1),
+    ])
+    def test_each_run_makes_its_documented_draws_in_order(self, variant, n):
+        seeds, d = [5, 6, 7, 8], 3
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        refs = [np.random.default_rng(seed) for seed in seeds]
+        buffers = engine._Draws.empty(len(seeds), n, d)
+        for _ in range(2):  # the second iteration refills the same buffers
+            draws = engine._draw(rngs, variant, buffers)
+            probing = []
+            for r, (rng, ref) in enumerate(zip(rngs, refs)):
+                offsets, probes, sar, partners, volitive = documented_draws(ref, variant, n, d)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                first, end = r * n, (r + 1) * n
+                for i, row in offsets.items():
+                    assert np.array_equal(draws.offsets[first + i], row)
+                assert draws.probes[r] == len(probes)
+                probing += [(first + i, normals, fraction) for i, normals, fraction in probes]
+                assert np.array_equal(draws.sar[first:end], sar)
+                assert np.array_equal(draws.partners[first:end], partners + first)
+                assert np.array_equal(draws.volitive[first:end], volitive)
+            assert draws.probing.tolist() == [i for i, _, _ in probing]
+            if probing:
+                assert np.array_equal(draws.normals, np.array([x for _, x, _ in probing]))
+                assert draws.fractions.tolist() == [f for _, _, f in probing]
+        if variant.p_g == 0.5 and n > 1:
+            assert 0 < len(probing) < len(seeds) * n  # plain and probing fish interleave
+
+    def test_partners_are_other_fish_of_the_same_run(self):
+        runs, n = 3, 4
+        rngs = [np.random.default_rng(seed) for seed in range(runs)]
+        buffers = engine._Draws.empty(runs, n, 2)
+        fish = np.arange(runs * n)
+        met = set()
+        for _ in range(100):
+            partners = engine._draw(rngs, Variant("base"), buffers).partners
+            assert np.array_equal(partners // n, fish // n)
+            assert not (partners == fish).any()
+            met.update(zip(fish.tolist(), partners.tolist()))
+        assert len(met) == runs * n * (n - 1)  # each fish meets every peer of its run
+
+
+GENERATOR_NAMES = {"default_rng", "Generator", "RandomState", "SeedSequence", "BitGenerator"}
+GENERATOR_METHODS = {
+    name for name in dir(np.random.Generator) if not name.startswith("_")
+} - {"bit_generator", "spawn"}
+
+
+def random_draws(source):
+    """The lines of ``source`` that reach a random generator.
+
+    That is: an import of a random module, a generator type or factory by
+    name, an attribute ``random`` (``np.random``, ``rng.random``), or a call
+    of a ``Generator`` draw method on anything but the ``np`` and ``math``
+    modules (``np.power`` is not a draw).
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any("random" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = "random" in (node.module or "") or any(
+                alias.name in GENERATOR_NAMES | {"random"} for alias in node.names)
+        elif isinstance(node, ast.Name):
+            hit = node.id in GENERATOR_NAMES
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "random" or node.attr in GENERATOR_NAMES
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            hit = node.func.attr in GENERATOR_METHODS and not (
+                isinstance(owner, ast.Name) and owner.id in ("np", "math"))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_the_draw_guard_sees_draws():
+    for source in ("import random", "from numpy.random import default_rng",
+                   "x = np.random.default_rng(1)", "peers = g.integers(0, 5, size=5)",
+                   "z = rng.standard_normal(out=buf)", "def f(rng: Generator): pass"):
+        assert random_draws(source) == [1], source
+    assert random_draws("y = np.power(x, 2) + np.minimum(x, x).max()") == []
+    assert random_draws(Path(engine.__file__).read_text())  # the engine does draw
+
+
+@pytest.mark.parametrize("module", ["niching", "school", "gradient", "constraint_handling"])
+def test_stage_modules_draw_nothing(module):
+    # engine._draw owns every run's stream; a stage that drew on its own would
+    # change the stream order that the golden records pin.
+    source = Path(engine.__file__).with_name(f"{module}.py").read_text()
+    assert random_draws(source) == []

@@ -3,12 +3,12 @@ import pytest
 
 from wrfss import engine
 from wrfss.cec2010 import load_problem
-from wrfss.engine import EngineParams, Variant, _candidates, _draw_moves, run
+from wrfss.engine import EngineParams, Variant, _candidates, _draw, _Draws, _probe, run
 from wrfss.gradient import forward_gradient, pick_direction
 from wrfss.problem import Problem, evaluate_many, violation_many
 from wrfss.school import accept
 
-from oracles import probe_candidates
+from oracles import draw_rest_of_iteration, probe_candidates
 
 
 def box(d, lo=-100.0, hi=100.0, **kw):
@@ -120,9 +120,10 @@ class TestPickDirection:
 
 
 def probe_candidates_of_engine(problem, positions, phase, step_ind, variant, e, rng):
-    """The engine's probe-gated candidates: its draws and probes, then its candidates."""
-    moves = _draw_moves([rng], positions, variant, problem, e)
-    return _candidates(positions, moves, phase, step_ind, problem.lower, problem.upper,
+    """The engine's probe-gated candidates: one iteration's draws and probes, then its candidates."""
+    draws = _draw([rng], variant, _Draws.empty(1, *positions.shape))
+    gradient = _probe(problem, positions, draws.probing, e)
+    return _candidates(positions, draws, gradient, phase, step_ind, problem.lower, problem.upper,
                        np.empty_like(positions))
 
 
@@ -156,6 +157,7 @@ class TestProbeMove:
         # no gate is drawn: the school takes one plain uniform block
         twin = np.random.default_rng(77)
         assert np.array_equal(out, positions + twin.uniform(-1.0, 1.0, (2, 3)) * 0.5)
+        draw_rest_of_iteration(twin, 2, 3)
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_probe_descends_linear_violation(self):
@@ -242,7 +244,7 @@ class TestProbeMove:
 @pytest.mark.parametrize("pid", ["C01", "C06", "C07", "C08"])
 def test_batched_probe_matches_per_fish_reference(pid, p_g, phase):
     # The batched candidates equal the per-fish reference bit for bit, and
-    # both leave the generator in the same state.
+    # both leave the generator in the same state after the iteration's draws.
     problem = load_problem(pid, source="surrogate").problem
     variant = Variant("gradient", k_directions=50, p_g=p_g)
     e = 1e-6 * problem.range_width
@@ -256,5 +258,6 @@ def test_batched_probe_matches_per_fish_reference(pid, p_g, phase):
                                              ours)
         expected = probe_candidates(violation_rows, positions, phase, step_ind, variant, e, ref,
                                     problem.lower, problem.upper)
+        draw_rest_of_iteration(ref, *positions.shape)
         assert np.array_equal(batched, expected)
         assert ours.bit_generator.state == ref.bit_generator.state

@@ -8,7 +8,7 @@ from wrfss.niching import (
     link_formator,
 )
 
-from oracles import is_forest
+from oracles import is_forest, random_partners
 
 LO, HI = -100.0, 100.0
 
@@ -27,17 +27,8 @@ def volitive(positions, weights, leader, step_vol, gained, draws, lo=LO, hi=HI):
     )
 
 
-class ScriptedPartners:
-    """rng stand-in that feeds link_formator a fixed partner choice per fish."""
-
-    def __init__(self, partners):
-        self.partners = np.asarray(partners)
-
-    def integers(self, low, high, size=None):
-        # invert the offset trick: raw + (raw >= index) == partner
-        idx = np.arange(size)
-        raw = self.partners - (self.partners > idx)
-        return raw
+def partners(*peers):
+    return np.array(peers, dtype=np.int64)
 
 
 class TestLinkFormator:
@@ -45,17 +36,17 @@ class TestLinkFormator:
         weights = np.array([5.0, 1.0])
         links = LinkGraph.empty(2)
         # fish 0 samples 1 (lighter: nothing), fish 1 samples 0 (heavier: link)
-        out = link_formator(weights, links, ScriptedPartners([1, 0]))
+        out = link_formator(weights, links, partners(1, 0))
         assert out.leader.tolist() == [-1, 0]
 
     def test_follower_grown_heavier_breaks_link(self):
         links = LinkGraph(leader=np.array([-1, 0]))
         weights = np.array([1.0, 5.0])  # follower 1 now heavier than leader 0
-        out = link_formator(weights, links, ScriptedPartners([1, 0]))
+        out = link_formator(weights, links, partners(1, 0))
         assert out.leader[1] == -1
 
     def test_single_fish_graph_stays_empty(self):
-        out = link_formator(np.array([3.0]), LinkGraph.empty(1), np.random.default_rng(0))
+        out = link_formator(np.array([3.0]), LinkGraph.empty(1), partners())
         assert out.leader.tolist() == [-1]
 
     def test_equal_weights_never_link(self):
@@ -63,7 +54,7 @@ class TestLinkFormator:
         links = LinkGraph.empty(8)
         weights = np.full(8, 4.0)
         for _ in range(100):
-            links = link_formator(weights, links, rng)
+            links = link_formator(weights, links, random_partners(rng, 8))
             assert np.all(links.leader == -1)
 
     def test_leader_switch_on_follower_weight_sum(self):
@@ -72,7 +63,7 @@ class TestLinkFormator:
         # break pass keeps the link because w[0] = 5 <= w[1] = 6.
         weights = np.array([5.0, 6.0, 7.0, 9.0])
         links = LinkGraph(leader=np.array([2, -1, -1, 0]))
-        out = link_formator(weights, links, ScriptedPartners([1, 3, 1, 2]))
+        out = link_formator(weights, links, partners(1, 3, 1, 2))
         assert out.leader[0] == 1
         # 3 -> 0 is broken by the break pass (w[3] = 9 > w[0] = 5)
         assert out.leader[3] == -1
@@ -81,14 +72,14 @@ class TestLinkFormator:
         # a=0 follows c=2; a's followers weigh 3 < w[b=1] = 4 -> keep c
         weights = np.array([5.0, 4.0, 6.0, 3.0])
         links = LinkGraph(leader=np.array([2, -1, -1, 0]))
-        out = link_formator(weights, links, ScriptedPartners([1, 3, 1, 2]))
+        out = link_formator(weights, links, partners(1, 3, 1, 2))
         assert out.leader[0] == 2
 
     def test_cycle_refused(self):
         # 1 follows 0; fish 0 samples 1 which is heavier -> would close a cycle
         weights = np.array([1.0, 2.0])
         links = LinkGraph(leader=np.array([-1, 0]))
-        out = link_formator(weights, links, ScriptedPartners([1, 0]))
+        out = link_formator(weights, links, partners(1, 0))
         assert out.leader[0] == -1
         # the break pass removes 1 -> 0 anyway since w[1] > w[0]
         assert is_forest(out.leader)
@@ -99,7 +90,7 @@ class TestLinkFormator:
         links = LinkGraph.empty(n)
         for _ in range(300):
             weights = rng.uniform(1.0, 10.0, n)
-            links = link_formator(weights, links, rng)
+            links = link_formator(weights, links, random_partners(rng, n))
             assert is_forest(links.leader)
             # no fish follows a strictly lighter fish after the break pass
             followers = np.flatnonzero(links.leader >= 0)
@@ -112,7 +103,7 @@ class TestLinkFormator:
         links = LinkGraph(leader=np.array([2, 0, -1, 0, -1]))
         for w_b, new_leader in ((6.0, 2), (5.5, 4)):
             weights = np.array([5.0, 3.0, 9.0, 3.0, w_b])
-            out = link_formator(weights, links, ScriptedPartners([4, 2, 1, 2, 1]))
+            out = link_formator(weights, links, partners(4, 2, 1, 2, 1))
             assert out.leader.tolist() == [new_leader, 0, -1, 0, -1]
 
 
@@ -122,7 +113,7 @@ def test_is_forest_oracle():
         assert not is_forest(cyclic)
 
 
-def reference_link_formator(weights, links, rng):
+def reference_link_formator(weights, links, partner):
     """The link pass written on numpy arrays and scalars, kept as an oracle
     for the list-based ``link_formator``."""
 
@@ -139,8 +130,6 @@ def reference_link_formator(weights, links, rng):
     if n < 2:
         return LinkGraph(leader=leader)
     weights = np.asarray(weights, dtype=float)
-    raw = rng.integers(0, n - 1, size=n)
-    partner = raw + (raw >= np.arange(n))
 
     follower_sum = np.zeros(n)
     for a, l in enumerate(leader):
@@ -186,15 +175,13 @@ def test_link_formator_matches_reference(case):
     assert is_forest(links.leader)
     # Integer weights give ties, which exercise the strict comparisons.
     ties = case % 3 == 0
-    seed = int(setup.integers(0, 2**32))
-    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
         weights = setup.integers(1, 6, n).astype(float) if ties else setup.uniform(1, 5000, n)
-        got = link_formator(weights, links, rng_new)
-        want = reference_link_formator(weights, links, rng_ref)
+        peers = random_partners(setup, n)
+        got = link_formator(weights, links, peers)
+        want = reference_link_formator(weights, links, peers)
         assert got.leader.dtype == np.int64
         assert np.array_equal(got.leader, want.leader)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         links = got
 
 

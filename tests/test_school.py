@@ -32,9 +32,11 @@ def ring(d=3):
 
 
 def feed(values, extremes, w_scale):
-    """The engine's feeding stage: the widened running extremes, and the normalized weights."""
+    """The engine's feeding stage of a one-run school: the widened running
+    extremes, and the normalized weights."""
+    values = values[None]
     extremes = extremes.update(values)
-    return extremes, normalized_feeding(values, extremes.min, extremes.max, w_scale)
+    return extremes, normalized_feeding(values, extremes.min, extremes.max, w_scale)[0]
 
 
 class TestStepSchedule:
@@ -210,27 +212,27 @@ class TestFeeding:
     """The engine's feeding stage: running extremes, then normalized weights."""
 
     def test_hand_value(self):
-        extremes, _ = feed(np.array([0.0, 4.0]), RunningExtremes(), 10.0)
+        extremes, _ = feed(np.array([0.0, 4.0]), RunningExtremes.empty(1), 10.0)
         # the extremes seen before still bound the range: 10 - 9 * (2 - 0) / 4
         _, w = feed(np.array([2.0, 3.0]), extremes, 10.0)
         assert w.tolist() == [5.5, 3.25]
 
     def test_zero_deltas_leave_weights(self):
         # a school whose scores never change keeps the start weights, w_scale / 2
-        extremes = RunningExtremes()
+        extremes = RunningExtremes.empty(1)
         for _ in range(5):
             extremes, w = feed(np.full(3, 7.0), extremes, 10.0)
             assert np.array_equal(w, np.full(3, 5.0))
 
     def test_cap_at_scale(self):
-        extremes, _ = feed(np.array([1.0, 3.0]), RunningExtremes(), 10.0)
+        extremes, _ = feed(np.array([1.0, 3.0]), RunningExtremes.empty(1), 10.0)
         _, w = feed(np.array([-5.0, 3.0]), extremes, 10.0)
         assert w[0] == 10.0  # a new best maps exactly onto the cap
         assert w[1] == 1.0
 
     def test_weights_stay_in_bounds_over_random_sequences(self):
         rng = np.random.default_rng(7)
-        extremes = RunningExtremes()
+        extremes = RunningExtremes.empty(1)
         for _ in range(200):
             extremes, w = feed(rng.normal(size=6) * rng.exponential(5.0), extremes, 10.0)
             assert np.all(w >= 1.0)
@@ -238,7 +240,7 @@ class TestFeeding:
 
     def test_empty_school_rejected(self):
         with pytest.raises(ValueError):
-            feed(np.array([]), RunningExtremes(), 10.0)
+            feed(np.array([]), RunningExtremes.empty(1), 10.0)
 
 
 class TestCollectiveInstinctive:
@@ -359,7 +361,7 @@ def test_school_initial_state(monkeypatch):
     assert np.array_equal(scored[0], pts)
     assert np.all(pts >= problem.lower) and np.all(pts <= problem.upper)
     f, v = evaluate_many(problem, pts)
-    i = engine.best_index(f, v)
+    i = engine.best_index(f[None], v[None])[0]
     assert (rec.trace_best_fitness[0], rec.trace_best_violation[0]) == (f[i], v[i])
     [(total, gained)] = moves
     assert gained == (total > 4 * 2500.0)
