@@ -115,20 +115,8 @@ def _mean(v):
     return v.sum(axis=-1) / v.shape[-1]
 
 
-def _rotate(z, m):
-    """``z @ m`` for a batch of rows; each row gets the bits of a many-row product.
-
-    numpy multiplies a single row by the matrix through another BLAS kernel,
-    which rounds differently, so a one-row batch is padded to two rows and the
-    first row is kept.
-    """
-    if z.shape[0] == 1:
-        return (np.concatenate([z, z]) @ m)[:1]
-    return z @ m
-
-
 def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
-                   delta: float, exponent: float) -> Problem:
+                   delta: float) -> Problem:
     o = np.asarray(shift, dtype=float)
     m = None if rotation is None else np.asarray(rotation, dtype=float)
     d = DIMENSION
@@ -177,7 +165,7 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         )
     elif pid == "C06":
         def rotated(x):
-            return _rotate(x - o + _ROTATION_OFFSET, m) - _ROTATION_OFFSET
+            return (x - o + _ROTATION_OFFSET) @ m - _ROTATION_OFFSET
 
         def h_sin(x):
             y = rotated(x)
@@ -194,7 +182,7 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         if pid == "C07":
             transform = lambda x: x - o
         else:
-            transform = lambda x: _rotate(x - o, m)
+            transform = lambda x: (x - o) @ m
 
         def constraint(x):
             y = transform(x)
@@ -226,7 +214,6 @@ def _build_problem(pid: str, shift: np.ndarray, rotation: np.ndarray | None,
         inequalities=inequalities,
         equalities=equalities,
         delta=delta,
-        violation_exponent=exponent,
         name=pid,
     )
 
@@ -315,7 +302,6 @@ def load_problem(
     data_dir: str | Path | None = None,
     source: str | None = None,
     delta: float = Problem.delta,
-    violation_exponent: float = Problem.violation_exponent,
 ) -> BenchProblem:
     """Build one suite problem at 10D with the equality tolerance applied.
 
@@ -330,7 +316,7 @@ def load_problem(
     else:
         shift, rotation = _fallback_data(pid, source_label)
 
-    problem = _build_problem(pid, shift, rotation, delta, violation_exponent)
+    problem = _build_problem(pid, shift, rotation, delta)
     lo, hi, n_eq, n_ineq, ratio = _TABLE1[pid]
     assert problem.n_equalities == n_eq and problem.n_inequalities == n_ineq
     assert float(problem.lower[0]) == lo and float(problem.upper[0]) == hi

@@ -150,8 +150,6 @@ class RunningExtremes:
         return cls(np.full((runs, 1), math.inf), np.full((runs, 1), -math.inf))
 
     def update(self, values: np.ndarray) -> RunningExtremes:
-        if not values.size:
-            return self
         return RunningExtremes(
             np.minimum(self.min, np.minimum.reduce(values, axis=1, keepdims=True)),
             np.maximum(self.max, np.maximum.reduce(values, axis=1, keepdims=True)),

@@ -184,7 +184,9 @@ class RunRecord:
     ``wall_time`` is the run's share of the elapsed time of the block of
     seeds it ran in (see ``run_many``): the block's time over its seed count,
     or the run's own time when it ran alone. ``harness.run_batch`` runs each
-    worker's contiguous block of seeds as one stacked school.
+    worker's contiguous block of seeds as one stacked school; every other
+    field is the same alone or in a block, as ``problem`` scores a one-row
+    call as two copies of the row, the bits it gets in a batch.
     """
 
     seed: int
@@ -460,13 +462,12 @@ def run_many(
     in its order. It makes the same decisions on the same scores. So when the
     problem scores each row of a batch independently of the other rows, as
     every CEC 2010 problem here does, each record equals the record ``run``
-    gives its seed alone in every field but ``wall_time``. That is the
-    block's elapsed time over its seed count. (A matrix-vector product ``x @
-    w`` is an example of a function that may round a row differently in
-    batches of different sizes.) An evaluation error in a block of several
-    seeds re-runs each seed alone, so an aborted record is the solo aborted
-    record too. An ``observer`` (see ``run``) watches a block of one seed
-    only.
+    gives its seed alone in every field but ``wall_time``, the block's
+    elapsed time over its seed count. This holds for one-fish runs too, as
+    ``problem`` scores a one-row call as two copies of the row. An
+    evaluation error in a block of several seeds re-runs each seed alone, so
+    an aborted record is the solo aborted record too. An ``observer`` (see
+    ``run``) watches a block of one seed only.
     """
     seeds = list(seeds)
     if observer is not None and len(seeds) != 1:
@@ -518,7 +519,7 @@ def _run_school(
     # feasible count.
     trace_f = np.empty((params.iterations + 1, runs))
     trace_v = np.empty((params.iterations + 1, runs))
-    trace_phase = []  # one list of R phases per row
+    trace_phase = np.empty((params.iterations + 1, runs), dtype=np.int8)
     trace_feasible = np.empty((params.iterations + 1, runs), dtype=np.int32)
     rows = 0  # trace rows recorded
     batches = 0  # school-and-candidates batches scored
@@ -541,11 +542,7 @@ def _run_school(
     # start weights.
     total_weight = np.add.reduce(weights.reshape(runs, n), axis=1)
     try:
-        # numpy multiplies a single row through another BLAS kernel than a
-        # batch, which rounds differently, so a one-fish school is scored as
-        # two copies of its fish, as a block of one-fish runs is scored.
-        padded = positions if size > 1 else np.concatenate([positions, positions])
-        fitness, violation = (scores[:size] for scores in evaluate_many(problem, padded))
+        fitness, violation = evaluate_many(problem, positions)
         school_v = violation.reshape(runs, n)
         _merge_best(best, [(fitness.reshape(runs, n), school_v, positions.reshape(runs, n, d))])
         links = LinkGraph.empty(size)
@@ -562,7 +559,7 @@ def _run_school(
                 )
 
         trace_f[0], trace_v[0] = best[0], best[1]
-        trace_phase.append(decide_phase(school_v, params.sigma))
+        trace_phase[0] = decide_phase(school_v, params.sigma)
         trace_feasible[0] = (school_v == 0.0).sum(axis=1)
         rows = 1
 
@@ -666,7 +663,7 @@ def _run_school(
             )
 
             trace_f[t + 1], trace_v[t + 1] = best[0], best[1]
-            trace_phase.append(phase)
+            trace_phase[t + 1] = phase
             trace_feasible[t + 1] = np.add.reduce(violation_runs == 0.0, axis=1)
             rows = t + 2
             if observer is not None:
@@ -682,7 +679,6 @@ def _run_school(
         aborted = True
         error = str(exc)
 
-    phases = np.array(trace_phase, dtype=np.int8).reshape(rows, runs)
     probes = probe_count.tolist()
     records = []
     for r, seed in enumerate(seeds):
@@ -695,7 +691,7 @@ def _run_school(
             trace_iteration=np.arange(rows, dtype=np.int64),
             trace_best_fitness=trace_f[:rows, r].copy(),
             trace_best_violation=trace_v[:rows, r].copy(),
-            trace_phase=phases[:, r].copy(),
+            trace_phase=trace_phase[:rows, r].copy(),
             trace_feasible_count=trace_feasible[:rows, r].copy(),
             best_fitness=best_f,
             best_violation=best_v,

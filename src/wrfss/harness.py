@@ -79,7 +79,6 @@ class ExperimentConfig:
     data_dir: str | None = None
     data_source: str | None = None
     delta: float = Problem.delta
-    violation_exponent: float = Problem.violation_exponent
     n_fish: int = EngineParams.n_fish
     iterations: int = EngineParams.iterations
     sigma: float = EngineParams.sigma
@@ -118,14 +117,9 @@ class ExperimentConfig:
         return _from_fields(Variant, self, kind=VARIANT_NAMES[self.variant])
 
     def load_problem(self) -> Problem:
-        bench = cec2010.load_problem(
-            self.problem_id,
-            data_dir=self.data_dir,
-            source=self.data_source,
-            delta=self.delta,
-            violation_exponent=self.violation_exponent,
-        )
-        return bench.problem
+        return cec2010.load_problem(
+            self.problem_id, data_dir=self.data_dir, source=self.data_source, delta=self.delta
+        ).problem
 
     def resolved_data_source(self) -> str:
         return cec2010.resolve_source(self.data_dir, self.data_source)[0]

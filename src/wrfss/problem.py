@@ -3,14 +3,13 @@
 A problem is an objective over a box, plus inequality constraints g(x) <= 0
 and equality constraints h(x) = 0. Every problem function takes a batch: it
 maps an (n, D) array of points to n values. Equalities are relaxed to
-|h(x)| - delta <= 0, and infeasibility is aggregated into one non-negative
+|h(x)| - delta <= 0, and infeasibility is aggregated into the CEC 2010
 violation measure,
 
-    violation(x) = sum_j max(0, g_j(x))**p + sum_j max(0, |h_j(x)| - delta)**p,
+    violation(x) = sum_j max(0, g_j(x)) + sum_j max(0, |h_j(x)| - delta),
 
-with p the violation exponent. It is zero exactly on the relaxed feasible set,
-and finite: a breach whose p-th power underflows counts as the smallest
-subnormal float, and one whose p-th power overflows raises EvaluationError.
+which is zero exactly on the relaxed feasible set. A sum of finite terms that
+overflows raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -28,28 +27,22 @@ BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 class EvaluationError(RuntimeError):
-    """A problem function returned a non-finite value, or a violation term overflowed.
+    """A problem function returned a non-finite value, or the violation sum overflowed.
 
     Attributes:
-        kind: one of "objective", "inequality", "equality".
-        index: 0-based index within the constraint group (None for objective).
-        exponent: the violation exponent whose power of a finite breach
-            overflowed, or None when the function's own value was non-finite.
+        kind: one of "objective", "inequality", "equality", or "violation"
+            for finite constraint terms whose sum overflows.
+        index: 0-based index within the constraint group (None for the
+            objective and the violation).
     """
 
-    def __init__(
-        self, kind: str, index: int | None, problem_name: str = "", exponent: float | None = None
-    ):
+    def __init__(self, kind: str, index: int | None, problem_name: str = ""):
         self.kind = kind
         self.index = index
         self.problem_name = problem_name
-        self.exponent = exponent
         where = kind if index is None else f"{kind}[{index}]"
         name = f" of problem {problem_name!r}" if problem_name else ""
-        message = f"non-finite value from {where}{name}"
-        if exponent is not None:
-            message = f"violation term of {where}{name} overflows at exponent {exponent:g}"
-        super().__init__(message)
+        super().__init__(f"non-finite value from {where}{name}")
 
 
 def _reject_non_finite(instance) -> None:
@@ -67,10 +60,8 @@ class Problem:
     The objective and every constraint map an (n, dimension) array to an
     (n,) array; ``evaluate_many``, ``violation_many`` and ``feasible_many``
     reject any other shape. Inequalities are feasible when g(x) <= 0,
-    equalities when |h(x)| <= delta, and ``violation_exponent`` is the power p
-    applied to each breach in the violation measure (see the module
-    docstring). A per-point function f becomes a batch one as
-    ``lambda X: np.array([f(x) for x in X])``.
+    equalities when |h(x)| <= delta. A per-point function f becomes a batch
+    one as ``lambda X: np.array([f(x) for x in X])``.
     """
 
     dimension: int
@@ -80,7 +71,6 @@ class Problem:
     inequalities: tuple[BatchFn, ...] = ()
     equalities: tuple[BatchFn, ...] = ()
     delta: float = 1e-4
-    violation_exponent: float = 1.0
     name: str = ""
 
     def __post_init__(self):
@@ -97,8 +87,6 @@ class Problem:
             raise ValueError("delta must be positive when equality constraints are present")
         if not self.delta >= 0.0:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if not self.violation_exponent > 0.0:
-            raise ValueError(f"violation_exponent must be positive, got {self.violation_exponent}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
@@ -118,22 +106,32 @@ class Problem:
 
 
 def _values(fn: BatchFn, points: np.ndarray, kind: str, index: int | None, name: str) -> np.ndarray:
-    """``fn(points)`` as floats, checked to be one finite value per point."""
-    values = np.asarray(fn(points), dtype=float)
+    """``fn(points)`` as floats, checked to be one finite value per point.
+
+    numpy multiplies a single row by a matrix through another BLAS kernel than
+    a batch, which rounds differently, so a single point is scored as two
+    copies of itself and the first value kept: a point gets the same bits
+    alone as in a batch.
+    """
     n, d = points.shape
-    if values.shape != (n,) or n == d > 1:
-        # A per-point function returns a (D,) row of the batch, which has n
-        # values when n == D; on a single point it cannot.
-        rows, got = points, values.shape
-        if got == (n,):
-            rows = points[:1]
-            got = np.shape(fn(rows))
-        if got != rows.shape[:1]:
+    batch = points if n > 1 else np.concatenate([points, points])
+    values = np.asarray(fn(batch), dtype=float)
+    m = len(batch)
+    if values.shape != (m,) or m == d:
+        # A per-point function returns a (D,) row of the batch, which has one
+        # value per point when there are D points; on a single point it
+        # cannot. The message names the caller's points.
+        rows, expected, got = points, (m,), values.shape
+        if got == expected:
+            rows, expected, got = points[:1], (1,), np.shape(fn(points[:1]))
+        if got != expected:
             where = kind if index is None else f"{kind}[{index}]"
             raise ValueError(
                 f"{where} of problem {name!r} returned shape {got} for points of shape "
-                f"{rows.shape}; expected ({rows.shape[0]},)"
+                f"{rows.shape}; expected ({len(rows)},)"
             )
+    if n == 1:
+        values = values[:1]
     if not np.isfinite(values).all():
         raise EvaluationError(kind, index, name)
     return values
@@ -155,42 +153,38 @@ def _constraints(problem: Problem) -> Iterator[tuple[str, int, BatchFn]]:
 
 
 def _term(problem: Problem, kind: str, index: int, fn: BatchFn, points: np.ndarray) -> np.ndarray:
-    """One constraint's violation term per row: max(0, g)**p, or max(0, |h| - delta)**p.
+    """One constraint's violation term per row: max(0, g), or max(0, |h| - delta).
 
-    A term is zero exactly where the row satisfies the constraint, and finite:
-    a breach whose power overflows raises EvaluationError naming the
-    constraint and p, and one whose power underflows to zero is floored at
-    the smallest subnormal float.
+    A term is zero exactly where the row satisfies the constraint.
     """
     values = _values(fn, points, kind, index, problem.name)
     if kind == "equality":
         values = np.abs(values) - problem.delta
-    breach = np.maximum(0.0, values)
-    p = problem.violation_exponent
-    if p == 1.0:
-        return breach
-    try:
-        with np.errstate(over="raise"):
-            terms = breach**p
-    except FloatingPointError:
-        raise EvaluationError(kind, index, problem.name, exponent=p) from None
-    return np.where((terms == 0.0) & (breach > 0.0), np.finfo(float).smallest_subnormal, terms)
+    return np.maximum(0.0, values)
 
 
 def violation_many(problem: Problem, points: np.ndarray) -> np.ndarray:
     """The violation of each row of a batch, without calling the objective.
 
-    Row i gets sum_j max(0, g_j)**p + sum_j max(0, |h_j| - delta)**p, zero
-    exactly when the row is feasible; it is the violation column of
+    Row i gets sum_j max(0, g_j) + sum_j max(0, |h_j| - delta), zero exactly
+    when the row is feasible; it is the violation column of
     ``evaluate_many``. Raises ValueError when ``points`` is not (n,
     dimension) or a constraint does not return shape (n,), and
-    EvaluationError, naming the constraint, when one returns a non-finite
-    value or its breach overflows when raised to p.
+    EvaluationError naming the constraint when one returns a non-finite
+    value, or of kind "violation" when finite terms sum to infinity.
     """
     points = _checked_points(problem, points)
-    violation = np.zeros(points.shape[0])
-    for kind, j, fn in _constraints(problem):
-        violation += _term(problem, kind, j, fn, points)
+    violation = np.zeros(points.shape[0])  # a -0.0 term sums to +0.0
+    i = 0
+    for i, (kind, j, fn) in enumerate(_constraints(problem)):
+        term = _term(problem, kind, j, fn, points)
+        if not i:  # a single finite term cannot overflow
+            violation += term
+            continue
+        with np.errstate(over="ignore"):  # an overflowing sum raises below, without a warning
+            violation += term
+    if i and not np.isfinite(violation).all():
+        raise EvaluationError("violation", None, problem.name)
     return violation
 
 
@@ -201,7 +195,8 @@ def feasible_many(problem: Problem, points: np.ndarray) -> np.ndarray:
     only on the rows every earlier one accepted: the whole batch while no row
     is rejected, then the rows still feasible, stopping once none is left. So
     a constraint is never called on a row an earlier one rejected, and a
-    non-finite value there raises nothing. Otherwise raises as
+    non-finite value there raises nothing. No sum is formed, so finite terms
+    that would sum to infinity raise nothing either. Otherwise raises as
     ``violation_many`` does.
     """
     points = _checked_points(problem, points)
@@ -227,10 +222,11 @@ def evaluate_many(problem: Problem, points: np.ndarray) -> tuple[np.ndarray, np.
 
     The violation is ``violation_many(problem, points)``. Raises ValueError
     when ``points`` is not (n, dimension) or a problem function does not
-    return shape (n,); when n == dimension, each function is also called on
-    the first point alone and must return shape (1,). Raises EvaluationError,
-    naming the function, when one returns a non-finite value; the objective
-    is checked first.
+    return shape (n,). A single point is scored as two copies of itself; when
+    the scored batch is square, each function is also called on the first
+    point alone and must return shape (1,). Raises EvaluationError
+    as ``violation_many`` does, or naming the objective when it returns a
+    non-finite value; the objective is checked first.
     """
     points = _checked_points(problem, points)
     f = _values(problem.objective, points, "objective", None, problem.name)

@@ -2,7 +2,7 @@
 
 A school is plain parallel arrays, one row per fish: positions, weights, last
 moves (``delta_x``, ``delta_f``), fitness and violation, held as locals of
-:func:`wrfss.engine.run`. ``accept`` applies the individual movement's
+:func:`wrfss.engine._run_school`. ``accept`` applies the individual movement's
 acceptance decisions and returns the new arrays; the leader-aware collective
 movements live in :mod:`wrfss.niching` and the weight feeding in
 :mod:`wrfss.constraint_handling`. Steps decay linearly over the iteration

@@ -183,9 +183,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command, flags, config", [
         ("run", ["--delta", "-1"], ""),
-        ("run", ["--violation-exponent", "0"], ""),
+        ("run", ["--delta", "nan"], ""),
         ("run", [], '{"delta": -1}'),
-        ("run", [], '{"violation_exponent": 0}'),
+        ("run", [], '{"delta": Infinity}'),
         ("batch", ["--delta", "-1"], ""),
     ])
     def test_bad_problem_parameter_leaves_no_output(self, tmp_path, capsys, command, flags, config):
@@ -196,7 +196,31 @@ class TestRunCommand:
             args += ["--config", str(tmp_path / "exp.json")]
         assert run_cli(args) == 1
         err = capsys.readouterr().err
-        assert "delta" in err or "violation_exponent" in err, err
+        assert "delta" in err, err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_removed_exponent_flag_is_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
+                     "--violation-exponent", "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--violation-exponent" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"violation_exponent": 1.0}',
+        '{"config": {"problem_id": "C01", "variant": "wrfss", "violation_exponent": 1.0}, '
+        '"seeds": [1000], "resolved_data_source": "surrogate"}',
+    ])
+    def test_removed_exponent_key_is_usage_error(self, tmp_path, capsys, text):
+        (tmp_path / "old.json").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
+                     "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'violation_exponent'" in err and "old.json" in err, err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_problem_is_runtime_error(self, tmp_path, capsys):
@@ -402,7 +426,6 @@ class TestBatchCommand:
 # override flag on `run` and `batch`: "--" + the field name with dashes.
 OVERRIDE_FLAGS = {
     "--delta": float,
-    "--violation-exponent": float,
     "--n-fish": int,
     "--iterations": int,
     "--sigma": float,

@@ -458,7 +458,6 @@ EVERY_CONFIG_KEY = {
     "data_dir": "data",
     "data_source": "surrogate",
     "delta": 2e-4,
-    "violation_exponent": 2.0,
     "n_fish": 12,
     "iterations": 77,
     "sigma": 0.1,
@@ -527,7 +526,7 @@ class TestParameterSurface:
         config = {
             "problem_id": "C03", "variant": "wrfssg", "run_count": 30, "base_seed": 1000,
             "output_dir": "out", "data_dir": None, "data_source": None, "delta": 0.0001,
-            "violation_exponent": 1.0, "n_fish": 30, "iterations": 5000, "sigma": 0.5,
+            "n_fish": 30, "iterations": 5000, "sigma": 0.5,
             "tau": 0.01, "w_scale": 5000.0, "step_ind_initial": 0.1, "step_ind_final": 0.0001,
             "step_vol_initial": 0.2, "step_vol_final": 0.0002, "sar_alpha0": 0.8,
             "sar_decay": 0.007, "tc_fraction": 0.6, "cp_min": 8.0, "epsilon0": None,
@@ -539,6 +538,11 @@ class TestParameterSurface:
         )
         assert read_config(manifest) == config
         assert dataclasses.asdict(ExperimentConfig(**read_config(manifest))) == config
+        # a manifest written while the violation exponent was a field is refused
+        write_json(manifest, {"config": dict(config, violation_exponent=1.0), "seeds": [1000],
+                              "resolved_data_source": "surrogate"})
+        with pytest.raises(ValueError, match="unknown key 'violation_exponent' in .*manifest"):
+            read_config(manifest)
 
     @pytest.mark.parametrize("name", sorted(VARIANT_NAMES))
     def test_default_config_builds_engine_defaults(self, name):

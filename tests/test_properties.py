@@ -36,7 +36,6 @@ def problems(draw):
         objective=lambda x: (scale * (x - center) ** 2).sum(axis=1),
         inequalities=inequalities, equalities=equalities,
         delta=draw(st.sampled_from([1e-4, 0.1, 1.0])),
-        violation_exponent=draw(st.sampled_from([1.0, 2.0])),
     )
 
 
