@@ -185,8 +185,8 @@ class RunRecord:
     seeds it ran in (see ``run_many``): the block's time over its seed count,
     or the run's own time when it ran alone. ``harness.run_batch`` runs each
     worker's contiguous block of seeds as one stacked school; every other
-    field is the same alone or in a block, as ``problem`` scores a one-row
-    call as two copies of the row, the bits it gets in a batch.
+    field is the same alone or in a block, as ``problem`` pads a one-row call
+    with copies of the row, which then gets the bits it gets in a batch.
     """
 
     seed: int
@@ -464,7 +464,7 @@ def run_many(
     every CEC 2010 problem here does, each record equals the record ``run``
     gives its seed alone in every field but ``wall_time``, the block's
     elapsed time over its seed count. This holds for one-fish runs too, as
-    ``problem`` scores a one-row call as two copies of the row. An
+    ``problem`` pads a one-row call with copies of the row. An
     evaluation error in a block of several seeds re-runs each seed alone, so
     an aborted record is the solo aborted record too. An ``observer`` (see
     ``run``) watches a block of one seed only.

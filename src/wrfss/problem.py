@@ -106,32 +106,27 @@ class Problem:
 
 
 def _values(fn: BatchFn, points: np.ndarray, kind: str, index: int | None, name: str) -> np.ndarray:
-    """``fn(points)`` as floats, checked to be one finite value per point.
+    """``fn`` on ``points`` as floats, checked to be one finite value per point.
 
-    numpy multiplies a single row by a matrix through another BLAS kernel than
-    a batch, which rounds differently, so a single point is scored as two
-    copies of itself and the first value kept: a point gets the same bits
-    alone as in a batch.
+    ``fn`` is called once, on a batch that is neither square nor a single row:
+    a single point gets one copy of itself appended (two when D = 2), and D
+    points a copy of the first, so a per-point function returns a shape the
+    check rejects. numpy multiplies a single row by a matrix through another
+    BLAS kernel, which rounds differently, so the padding also gives a point
+    the same bits alone as in a batch.
     """
     n, d = points.shape
-    batch = points if n > 1 else np.concatenate([points, points])
+    m = 2 if n == 1 else n
+    m += m == d  # never square
+    batch = np.concatenate([points] + [points[:1]] * (m - n)) if m > n else points
     values = np.asarray(fn(batch), dtype=float)
-    m = len(batch)
-    if values.shape != (m,) or m == d:
-        # A per-point function returns a (D,) row of the batch, which has one
-        # value per point when there are D points; on a single point it
-        # cannot. The message names the caller's points.
-        rows, expected, got = points, (m,), values.shape
-        if got == expected:
-            rows, expected, got = points[:1], (1,), np.shape(fn(points[:1]))
-        if got != expected:
-            where = kind if index is None else f"{kind}[{index}]"
-            raise ValueError(
-                f"{where} of problem {name!r} returned shape {got} for points of shape "
-                f"{rows.shape}; expected ({len(rows)},)"
-            )
-    if n == 1:
-        values = values[:1]
+    if values.shape != (m,):
+        where = kind if index is None else f"{kind}[{index}]"
+        raise ValueError(
+            f"{where} of problem {name!r} returned shape {values.shape} for points of shape "
+            f"{points.shape}, scored as a batch of shape {batch.shape}; expected ({m},)"
+        )
+    values = values[:n]
     if not np.isfinite(values).all():
         raise EvaluationError(kind, index, name)
     return values
@@ -222,10 +217,10 @@ def evaluate_many(problem: Problem, points: np.ndarray) -> tuple[np.ndarray, np.
 
     The violation is ``violation_many(problem, points)``. Raises ValueError
     when ``points`` is not (n, dimension) or a problem function does not
-    return shape (n,). A single point is scored as two copies of itself; when
-    the scored batch is square, each function is also called on the first
-    point alone and must return shape (1,). Raises EvaluationError
-    as ``violation_many`` does, or naming the objective when it returns a
+    return one value per scored row. Each function is called once per call,
+    on the points padded with copies of the first: one point is scored as two
+    rows (three when D = 2), and D points as D + 1. Raises EvaluationError as
+    ``violation_many`` does, or naming the objective when it returns a
     non-finite value; the objective is checked first.
     """
     points = _checked_points(problem, points)

@@ -330,7 +330,7 @@ class TestViolationMany:
             assert np.array_equal(np.concatenate(parts), whole), block
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 30])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30])
     def test_school_and_candidates_batch_equals_its_halves(self, pid, n):
         # The engine scores the school and its candidates in one 2n-row call;
         # each half must get the bits it gets alone.

@@ -215,6 +215,26 @@ class TestRun:
         assert pairs.count((2, 1)) > 0
         assert len(calls) == 1 + params.iterations + pairs.count((1, 2))
 
+    def test_square_batch_calls_the_objective_once(self, monkeypatch):
+        # With 5 fish on 10 dimensions each iteration's batch of school and
+        # candidates is square; the objective still runs once per batch.
+        c07 = load_problem("C07").problem
+        objective_rows, batch_rows = [], []
+
+        def objective(x):
+            objective_rows.append(x.shape[0])
+            return c07.objective(x)
+
+        def counting(problem, points):
+            batch_rows.append(points.shape[0])
+            return evaluate_many(problem, points)
+
+        monkeypatch.setattr(engine, "evaluate_many", counting)
+        problem = dataclasses.replace(c07, objective=objective)
+        run(problem, Variant("base"), EngineParams(n_fish=5, iterations=100), seed=1000)
+        assert batch_rows.count(10) >= 100  # one per iteration, and one per re-score
+        assert objective_rows == [11 if rows == 10 else rows for rows in batch_rows]
+
     def test_phase_flips_are_possible_and_not_latched(self):
         problem = ring()
         rec = run(

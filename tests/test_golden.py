@@ -4,7 +4,9 @@ Two more pin the gradient variant where its probe does most: C07 (sigma 0.5,
 so the phase flips between 1 and 2) and C06 (rotated constraints, k = 50).
 ``SWITCHING`` pins C08 x wrfss and C07 x wrfsse with sigma 0.5, where the
 phase changes 83 and 39 times in 200 iterations: every change rebuilds the
-individual-movement candidates with the new phase and step.
+individual-movement candidates with the new phase and step. ``SQUARE`` pins a
+5-fish run, whose every batch of school and candidates has as many rows as
+the problem has dimensions.
 
 Each digest covers the trace CSV bytes as the reports write them, plus the
 ``repr`` of the record's best fitness, best violation, best position (as a
@@ -42,10 +44,15 @@ SWITCHING = {
 }
 
 
+# C08 x wrfssg with 5 fish: each iteration scores its school and candidates
+# as one square 10 x 10 batch, and each probe as 11 rows.
+SQUARE = ("C08", "wrfssg", "759d2a95bc9899dbd80684289df522da5cd4b63a360ddd618262b1a9b170c203")
+
+
 def run_digest(problem_id, variant, tmp_path, **overrides):
     config = dataclasses.replace(
         paper_preset(problem_id, variant, desk=True),
-        data_source="surrogate", n_fish=10, iterations=200, **overrides,
+        **{"data_source": "surrogate", "n_fish": 10, "iterations": 200, **overrides},
     )
     record = run_single(config, seed=1000)
     trace = tmp_path / "trace.csv"
@@ -65,3 +72,8 @@ def test_golden_run(problem_id, variant, tmp_path):
 @pytest.mark.parametrize("problem_id,variant", list(SWITCHING))
 def test_golden_run_with_phase_switches(problem_id, variant, tmp_path):
     assert run_digest(problem_id, variant, tmp_path, sigma=0.5) == SWITCHING[problem_id, variant]
+
+
+def test_golden_run_with_square_batches(tmp_path):
+    problem_id, variant, digest = SQUARE
+    assert run_digest(problem_id, variant, tmp_path, n_fish=5) == digest

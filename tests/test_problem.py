@@ -147,13 +147,15 @@ class TestShapeContract:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_per_point_callable_rejected(self, n):
-        # x[0] is the first row of a batch; on a square batch it has n values
+        # x[0] is the first row of a batch: D values, and the scored batch
+        # never has D rows (a single point or D points get padding rows)
         p = box(3, -1, 1, objective=zeros, inequalities=(lambda x: x[0],))
         pts = np.arange(3.0 * n).reshape(n, 3) / 10.0
         with pytest.raises(ValueError, match=r"inequality\[0\].*returned shape \(3,\)") as err:
             evaluate_many(p, pts)
-        expected = "(1, 3)" if n == 3 else f"({n}, 3)"
-        assert f"points of shape {expected}" in str(err.value)
+        m = {1: 2, 3: 4}.get(n, n)
+        assert (f"points of shape ({n}, 3), scored as a batch of shape ({m}, 3); "
+                f"expected ({m},)") in str(err.value)
 
     def test_scalar_objective_rejected(self):
         p = box(2, -1, 1, objective=lambda x: 0.0)
@@ -183,11 +185,50 @@ class TestShapeContract:
         pts = np.arange(9.0).reshape(3, 3) / 10.0
         f, _ = evaluate_many(p, pts)
         assert np.array_equal(f, pts[:, 0])
-        # the square batch is also checked on its first point alone
-        assert calls == [(3, 3), (1, 3)]
+        # the square batch is scored once, with a copy of its first point appended
+        assert calls == [(4, 3)]
         calls.clear()
         evaluate_many(p, pts[:2])
         assert calls == [(2, 3)]
+
+
+# (D, n) -> the rows each problem function is called on, for n in
+# {1, 2, D - 1, D, D + 1}: a single point and D points are padded.
+SCORED_ROWS = {
+    (1, 0): 0, (1, 1): 2, (1, 2): 2,
+    (2, 1): 3, (2, 2): 3, (2, 3): 3,
+    (3, 1): 2, (3, 2): 2, (3, 3): 4, (3, 4): 4,
+    (10, 1): 2, (10, 2): 2, (10, 9): 9, (10, 10): 11, (10, 11): 11,
+}
+
+
+@pytest.mark.parametrize("d,n", list(SCORED_ROWS))
+def test_each_function_called_once_on_the_padded_batch(d, n):
+    calls = []
+
+    def counted(name, fn):
+        def batch_fn(x):
+            calls.append((name, x.shape))
+            return fn(x)
+
+        return batch_fn
+
+    # g accepts every row and h rejects every row, so feasible_many scores both on all rows
+    p = box(d, 0, 1, objective=counted("f", lambda x: x.sum(axis=1)),
+            inequalities=(counted("g", lambda x: -x[:, 0]),),
+            equalities=(counted("h", lambda x: x[:, -1]),))
+    pts = np.random.default_rng([d, n]).uniform(0.1, 0.9, (n, d))
+    scored = (SCORED_ROWS[d, n], d)
+    f, v = evaluate_many(p, pts)
+    assert calls == [("f", scored), ("g", scored), ("h", scored)]
+    assert np.array_equal(f, pts.sum(axis=1))
+    assert np.array_equal(v, pts[:, -1] - p.delta)
+    calls.clear()
+    assert np.array_equal(violation_many(p, pts), v)
+    assert calls == [("g", scored), ("h", scored)]
+    calls.clear()
+    assert feasible_many(p, pts).tolist() == [False] * n
+    assert calls == [("g", scored), ("h", scored)]
 
 
 class TestViolationMany:
@@ -222,7 +263,8 @@ class TestViolationMany:
 
     def test_per_point_constraint_rejected_on_square_batch(self):
         p = box(3, -1, 1, objective=self.never, inequalities=(lambda x: x[0],))
-        with pytest.raises(ValueError, match=r"inequality\[0\].*points of shape \(1, 3\)"):
+        match = r"inequality\[0\].*points of shape \(3, 3\), scored as a batch of shape \(4, 3\)"
+        with pytest.raises(ValueError, match=match):
             violation_many(p, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("kind", ["inequality", "equality"])
