@@ -40,15 +40,16 @@ def best_index(fitness: np.ndarray, violation: np.ndarray) -> np.ndarray:
 
 
 def epsilon_less_arrays(
-    f1: np.ndarray, v1: np.ndarray, f2: np.ndarray, v2: np.ndarray, eps: float
+    f1: np.ndarray, v1: np.ndarray, f2: np.ndarray, v2: np.ndarray, eps: float | np.ndarray
 ) -> np.ndarray:
     """Strict epsilon comparison of (fitness, violation) pairs, elementwise.
 
     Pair 1 beats pair 2 by fitness when both violations are within ``eps`` or
-    the violations are exactly equal, and by violation otherwise. ``math.inf``
-    reduces it to a plain fitness comparison, and ``0`` to the feasibility
-    rules (feasible beats infeasible, then fitness among feasible, violation
-    among infeasible).
+    the violations are exactly equal, and by violation otherwise; ``eps`` may
+    be an array that broadcasts against the pairs. ``math.inf`` reduces it to
+    a plain fitness comparison, and ``0`` to the feasibility rules (feasible
+    beats infeasible, then fitness among feasible, violation among
+    infeasible).
     """
     by_fitness = ((v1 <= eps) & (v2 <= eps)) | (v1 == v2)
     return np.where(by_fitness, f1 < f2, v1 < v2)

@@ -184,9 +184,10 @@ class RunRecord:
     ``wall_time`` is the run's share of the elapsed time of the block of
     seeds it ran in (see ``run_many``): the block's time over its seed count,
     or the run's own time when it ran alone. ``harness.run_batch`` runs each
-    worker's contiguous block of seeds as one stacked school; every other
-    field is the same alone or in a block, as ``problem`` pads a one-row call
-    with copies of the row, which then gets the bits it gets in a batch.
+    worker's contiguous block of seeds, or all seeds when it runs in one
+    process, as one stacked school; every other field is the same alone or in
+    a block, as ``problem`` pads a one-row call with copies of the row, which
+    then gets the bits it gets in a batch.
     """
 
     seed: int
@@ -329,22 +330,24 @@ def _draw(rngs: list[np.random.Generator], variant: Variant, out: _Draws) -> _Dr
 
 
 def _probe(
-    problem: Problem, positions: np.ndarray, probing: np.ndarray, e: np.ndarray
-) -> np.ndarray | None:
-    """The (p, D) violation gradients of the p probing fish, None when no fish probes.
+    problem: Problem, positions: np.ndarray, draws: _Draws, e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The steepest and flattest (p, D) directions of the p probing fish, None when none probes.
 
     The D+1 forward-difference rows (steps ``e``) of all probing fish are
-    scored in one ``violation_many`` call of p * (D+1) rows.
+    scored in one ``violation_many`` call of p * (D+1) rows. Neither direction
+    depends on the phase, so a phase switch probes nothing again.
     """
-    if not probing.size:
+    if not draws.probing.size:
         return None
-    return forward_gradient(partial(violation_many, problem), positions[probing], e)
+    gradient = forward_gradient(partial(violation_many, problem), positions[draws.probing], e)
+    return pick_direction(gradient, draws.normals)
 
 
 def _candidates(
     positions: np.ndarray,
     draws: _Draws,
-    gradient: np.ndarray | None,
+    directions: tuple[np.ndarray, np.ndarray] | None,
     phase: int | np.ndarray,
     step_ind: np.ndarray,
     lower: np.ndarray,
@@ -354,11 +357,10 @@ def _candidates(
     """Individual-movement candidates, written into ``out`` and clipped into the box.
 
     A plain fish steps ``offsets * step_ind``. A probing fish steps
-    step_ind * fraction along the direction its row of the (p, D)
-    ``gradient`` picks among its normal samples (steepest descent in phase 1,
-    flattest in phase 2). In a school of R runs of consecutive fish,
-    ``phase`` may be an array of one phase per run and ``step_ind`` one (D,)
-    row per run.
+    step_ind * fraction along its row of the steepest of the two (p, D)
+    ``directions`` in phase 1, and of the flattest in phase 2. In a school of
+    R runs of consecutive fish, ``phase`` may be an array of one phase per run
+    and ``step_ind`` one (D,) row per run.
     """
     size, d = positions.shape
     if step_ind.ndim == 1:
@@ -371,9 +373,12 @@ def _candidates(
     out += positions
     probing = draws.probing
     if probing.size:
+        steepest, flattest = directions
         if isinstance(phase, np.ndarray):
-            phase = phase.reshape(-1)[probing // (size // phase.size)]
-        u = pick_direction(gradient, draws.normals, phase)
+            phase1 = phase.reshape(-1)[probing // (size // phase.size)] == 1
+            u = np.where(phase1[:, None], steepest, flattest)
+        else:
+            u = steepest if phase == 1 else flattest
         step = step_ind if step_ind.ndim == 1 else step_ind[probing // (size // len(step_ind))]
         out[probing] = positions[probing] + step * draws.fractions[:, None] * u
     np.maximum(out, lower, out=out)
@@ -565,16 +570,15 @@ def _run_school(
 
         school_x = batch[:size].reshape(runs, n, d)
         for t in range(params.iterations):
-            # Every random number of the iteration, then the gradient probes,
-            # which need no score of the school, and the individual movement's
+            # Every random number of the iteration, then the probes' two
+            # phase-free directions, which need no score of the school, and the
             # candidates for the previous iteration's phase and un-boosted step.
             draws = _draw(rngs, variant, buffers)
-            gradient = _probe(problem, positions, draws.probing, e_vec)
-            if gradient is not None:
-                probe_count += draws.probes
+            directions = _probe(problem, positions, draws, e_vec)
+            probe_count += draws.probes
             step_ind, step_vol = _steps(schedules, t, width)
             batch[:size] = positions
-            _candidates(positions, draws, gradient, shared, step_ind, lower, upper, candidates)
+            _candidates(positions, draws, directions, shared, step_ind, lower, upper, candidates)
             # One call scores the school, unscored since the collective
             # movements of the previous iteration, and the candidates.
             batch_fitness, batch_violation = evaluate_many(problem, batch)
@@ -586,14 +590,14 @@ def _run_school(
 
             new_phase = decide_phase(school_v, params.sigma)
             if new_phase != phase:
-                # Rebuild the candidates from the same draws for the new phase
-                # (and step, boosted on a switch to phase 2), and re-score the
-                # school and candidate rows of the runs that switched, in batch
-                # order: the rows a run alone re-scores, and the whole batch
-                # when every run switched. A switch to phase 1 with no probing
-                # fish boosts nothing and picks no direction, so the candidates
-                # already scored stand, as do those of every run whose phase
-                # stays, which are rebuilt unchanged.
+                # Rebuild the candidates from the same draws and directions for
+                # the new phase (and step, boosted on a switch to phase 2), and
+                # re-score the school and candidate rows of the runs that
+                # switched, in batch order: the rows a run alone re-scores, and
+                # the whole batch when every run switched. A switch to phase 1
+                # with no probing fish boosts nothing and changes no direction,
+                # so the candidates already scored stand, as do those of every
+                # run whose phase stays, which are rebuilt unchanged.
                 changed = [r for r in range(runs) if new_phase[r] != phase[r]]
                 switched = [r for r in changed if new_phase[r] == 2 or draws.probes[r]]
                 for r in changed:
@@ -605,7 +609,7 @@ def _run_school(
                 shared = _one_phase(new_phase)
                 if switched:
                     step_ind, step_vol = _steps(schedules, t, width)
-                    _candidates(positions, draws, gradient, shared, step_ind, lower, upper,
+                    _candidates(positions, draws, directions, shared, step_ind, lower, upper,
                                 candidates)
                     redo = batch_rows[:, switched].ravel()
                     batch_fitness[redo], batch_violation[redo] = evaluate_many(
@@ -617,16 +621,11 @@ def _run_school(
                 shared, variant,
             ).reshape(2, size)
             if variant.kind == "epsilon":
-                eps = [schedule.value_at(t) for schedule in eps_schedules]
-                if eps.count(eps[0]) == runs:
-                    better = epsilon_less_arrays(
-                        cand_fitness, cand_violation, fitness, violation, eps[0]
-                    )
-                else:
-                    better = epsilon_less_arrays(
-                        cand_fitness.reshape(runs, n), cand_violation.reshape(runs, n),
-                        school_f, school_v, np.array(eps)[:, None],
-                    ).reshape(size)
+                eps = np.array([[schedule.value_at(t)] for schedule in eps_schedules])
+                better = epsilon_less_arrays(
+                    cand_fitness.reshape(runs, n), cand_violation.reshape(runs, n),
+                    school_f, school_v, eps,
+                ).reshape(size)
             else:
                 better = cand_active < active
             alpha = params.sar_alpha0 * math.exp(-params.sar_decay * t)

@@ -2,10 +2,12 @@
 
 The probe estimates a forward-difference gradient of the violation measure
 at each of p points from one batch of p * (D+1) evaluations, and for each
-point picks, among K sampled unit directions, the one with the lowest
-directional derivative (lowest absolute derivative when the school is
-already exploiting a feasible region, to avoid stepping off it). The engine
-gates the probe per fish, draws every random number, and then builds the
+point finds, among K sampled unit directions, both the one with the lowest
+directional derivative and the one with the lowest absolute derivative. The
+probe knows no phase: the engine steps along the first in phase 1 and along
+the second in phase 2 (to avoid stepping off a feasible region it already
+exploits), so a phase switch only chooses between the two. The engine gates
+the probe per fish, draws every random number, and then builds the
 candidates of all probing fish at once from these two functions.
 """
 
@@ -35,32 +37,23 @@ def forward_gradient(
     return (values[:, 1:] - values[:, :1]) / e
 
 
-def pick_direction(
-    gradient: np.ndarray, normals: np.ndarray, phase: int | np.ndarray
-) -> np.ndarray:
-    """For each of p gradients, the preferred one of its K sampled directions.
+def pick_direction(gradient: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of p gradients, the steepest and the flattest of its K sampled directions.
 
     ``gradient`` is (p, D) and ``normals`` (p, K, D) standard normal samples,
-    which are normalized to uniform unit directions. Phase 1 picks the
-    direction with the smallest signed derivative (steepest sampled descent);
-    phase 2 the smallest absolute derivative. ``phase`` is one phase for all
-    p probes, or an array of p phases, one per probe. With a zero gradient every
-    derivative ties and the first sample wins. Returns a (p, D) array.
+    which are normalized to uniform unit directions. Returns two (p, D)
+    arrays: the directions with the smallest signed derivative (steepest
+    sampled descent) and with the smallest absolute derivative. With a zero
+    gradient every derivative ties and the first sample wins in both.
     """
     p, k, _ = normals.shape
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    per_probe = isinstance(phase, np.ndarray)
-    if not np.all((phase == 1) | (phase == 2)) if per_probe else phase not in (1, 2):
-        raise ValueError(f"phase must be 1 or 2, got {phase}")
     u = normals / np.sqrt((normals * normals).sum(axis=-1, keepdims=True))
     # One matrix-vector product per probe: a stacked product may run another
     # BLAS kernel, which rounds differently.
     derivs = np.empty((p, k))
     for i in range(p):
         derivs[i] = u[i] @ gradient[i]
-    if per_probe:
-        derivs[phase == 2] = np.abs(derivs[phase == 2])
-    elif phase == 2:
-        derivs = np.abs(derivs)
-    return u[np.arange(p), np.argmin(derivs, axis=1)]
+    rows = np.arange(p)
+    return u[rows, np.argmin(derivs, axis=1)], u[rows, np.argmin(np.abs(derivs), axis=1)]

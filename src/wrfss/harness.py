@@ -274,26 +274,26 @@ def run_batch(
 ) -> tuple[SummaryStats, list[RunRecord]]:
     """Execute the batch and aggregate statistics.
 
-    The seeds are cut into min(n_jobs, run_count) contiguous blocks, and each
-    block runs as one stacked school (``engine.run_many``), so every record
-    equals the solo run of its seed whatever ``n_jobs`` is; its ``wall_time``
-    is its block's elapsed time over the block's seed count. With more than
-    one block, the blocks run in worker processes, each loading the problem
-    once from the config; a custom ``problem`` object forces single-process
-    execution. Failed runs are excluded from the statistics and counted in
-    ``failed_runs``.
+    With ``n_jobs`` above 1, the seeds are cut into min(n_jobs, run_count)
+    contiguous blocks that run in worker processes, each loading the problem
+    once from the config. In one process, which a custom ``problem`` object
+    forces, all seeds run as one block, so the records of a custom problem
+    whose rounding depends on the batch size do not depend on ``n_jobs``.
+    Each block runs as one stacked school (``engine.run_many``); for the CEC
+    2010 problems, which give each row the same bits in any batch, every
+    record equals the solo run of its seed. Its ``wall_time`` is its block's
+    elapsed time over the block's seed count. Failed runs are excluded from
+    the statistics and counted in ``failed_runs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     seeds = [config.base_seed + i for i in range(config.run_count)]
-    blocks = _blocks(seeds, min(n_jobs, config.run_count))
-    if len(blocks) > 1 and problem is None:
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(partial(_run_block, config), blocks))
+    jobs = min(n_jobs, config.run_count)
+    if jobs > 1 and problem is None:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(partial(_run_block, config), _blocks(seeds, jobs)))
     else:
-        if problem is None:
-            problem = config.load_problem()
-        parts = [_run_block(config, block, problem) for block in blocks]
+        parts = [_run_block(config, seeds, problem)]
     records = [record for part in parts for record in part]
     return SummaryStats.from_records(records), records
 

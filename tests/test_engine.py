@@ -447,6 +447,24 @@ class TestRun:
                 a, b = getattr(observed, field.name), getattr(plain, field.name)
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
+    def test_feasible_count_is_of_the_school_after_the_individual_move(self):
+        # The count is taken from the scores after the individual move, which
+        # the observer sees, and not from the school that the collective moves
+        # shift and the next iteration re-scores: re-scoring the observed
+        # positions gives another count on most iterations of this run.
+        config = dataclasses.replace(paper_preset("C07", "wrfss", desk=True), iterations=200)
+        problem = config.load_problem()
+        scored, rescored = [], []
+
+        def count(t, positions, weights, fitness, violation, leader):
+            scored.append(int((violation == 0.0).sum()))
+            rescored.append(int((evaluate_many(problem, positions)[1] == 0.0).sum()))
+
+        rec = run(problem, config.engine_variant(), config.engine_params(), seed=1000,
+                  observer=count)
+        assert rec.trace_feasible_count[1:].tolist() == scored
+        assert sum(a != b for a, b in zip(scored, rescored)) >= 100
+
     def test_positions_stay_in_box(self):
         problem = ring()
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from wrfss import engine
 from wrfss.cec2010 import load_problem
 from wrfss.engine import EngineParams, Variant, _candidates, _draw, _Draws, _probe, run
 from wrfss.gradient import forward_gradient, pick_direction
+from wrfss.harness import paper_preset
 from wrfss.problem import Problem, evaluate_many, violation_many
 from wrfss.school import accept
 
@@ -91,40 +94,39 @@ class TestPickDirection:
     TWO_DIRECTIONS = np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)
 
     def test_phase1_minimizes_signed_derivative(self):
-        u = pick_direction(np.array([[2.0, 3.0], [-2.0, 3.0]]), self.TWO_DIRECTIONS, 1)
+        steepest, _ = pick_direction(np.array([[2.0, 3.0], [-2.0, 3.0]]), self.TWO_DIRECTIONS)
         # derivatives: 2 and -3 -> steepest descent is (0,-1); then -2 and -3
-        assert np.allclose(u, [[0.0, -1.0], [0.0, -1.0]])
+        assert np.allclose(steepest, [[0.0, -1.0], [0.0, -1.0]])
 
     def test_phase2_minimizes_absolute_derivative(self):
-        u = pick_direction(np.array([[2.0, 3.0], [4.0, 3.0]]), self.TWO_DIRECTIONS * 2.0, 2)
+        _, flattest = pick_direction(np.array([[2.0, 3.0], [4.0, 3.0]]),
+                                     self.TWO_DIRECTIONS * 2.0)
         # |2| < |-3| -> (1,0); then |4| > |-3| -> (0,-1), both normalized
-        assert np.allclose(u, [[1.0, 0.0], [0.0, -1.0]])
+        assert np.allclose(flattest, [[1.0, 0.0], [0.0, -1.0]])
 
     def test_zero_gradient_returns_first_sample(self):
         normals = np.random.default_rng(3).normal(size=(3, 7, 5))
-        u = pick_direction(np.zeros((3, 5)), normals, 1)
         first = normals[:, 0] / np.linalg.norm(normals[:, 0], axis=1, keepdims=True)
-        assert np.allclose(u, first)
+        for u in pick_direction(np.zeros((3, 5)), normals):
+            assert np.allclose(u, first)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            u = pick_direction(rng.normal(size=(4, 6)), rng.normal(size=(4, 11, 6)), 1)
-            assert np.linalg.norm(u, axis=1) == pytest.approx(np.ones(4), abs=1e-12)
+            for u in pick_direction(rng.normal(size=(4, 6)), rng.normal(size=(4, 11, 6))):
+                assert np.linalg.norm(u, axis=1) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pick_direction(np.ones((1, 2)), np.ones((1, 0, 2)), 1)
-        with pytest.raises(ValueError):
-            pick_direction(np.ones((1, 2)), np.ones((1, 3, 2)), 7)
+            pick_direction(np.ones((1, 2)), np.ones((1, 0, 2)))
 
 
 def probe_candidates_of_engine(problem, positions, phase, step_ind, variant, e, rng):
     """The engine's probe-gated candidates: one iteration's draws and probes, then its candidates."""
     draws = _draw([rng], variant, _Draws.empty(1, *positions.shape))
-    gradient = _probe(problem, positions, draws.probing, e)
-    return _candidates(positions, draws, gradient, phase, step_ind, problem.lower, problem.upper,
-                       np.empty_like(positions))
+    directions = _probe(problem, positions, draws, e)
+    return _candidates(positions, draws, directions, phase, step_ind, problem.lower,
+                       problem.upper, np.empty_like(positions))
 
 
 class TestProbeMove:
@@ -261,3 +263,32 @@ def test_batched_probe_matches_per_fish_reference(pid, p_g, phase):
         draw_rest_of_iteration(ref, *positions.shape)
         assert np.array_equal(batched, expected)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_one_direction_pick_per_probing_iteration(monkeypatch):
+    # A phase switch rebuilds the candidates from the directions the
+    # iteration's probe already picked: the run below switches phase on
+    # iterations with probing fish, and each iteration picks directions
+    # exactly once when a fish probes and never otherwise.
+    probed, picked = [], []  # per iteration, and the iteration of each pick
+
+    def logged_draw(*args):
+        draws = _draw(*args)
+        probed.append(draws.probing.size > 0)
+        return draws
+
+    def logged_pick(*args):
+        picked.append(len(probed) - 1)
+        return pick_direction(*args)
+
+    monkeypatch.setattr(engine, "_draw", logged_draw)
+    monkeypatch.setattr(engine, "pick_direction", logged_pick)
+    config = dataclasses.replace(paper_preset("C07", "wrfssg", desk=True), iterations=200,
+                                 sigma=0.5)
+    record = run(config.load_problem(), config.engine_variant(), config.engine_params(),
+                 seed=1000)
+    assert len(probed) == 200
+    assert picked == [t for t, p in enumerate(probed) if p]
+    # Each iteration's phase against the phase it started in (phase 1 at t=0).
+    switched = record.trace_phase[1:] != np.concatenate([[1], record.trace_phase[1:-1]])
+    assert (switched & np.array(probed)).sum() >= 10

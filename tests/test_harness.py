@@ -198,13 +198,15 @@ class TestRunBatch:
                     assert seq[key].read_bytes() == par[key].read_bytes(), (variant, jobs, key)
 
     def test_block_wall_times_share_its_elapsed_time(self, tmp_path, monkeypatch):
-        # The clock reads 10.0 when a block starts and 13.0 when it ends: each
-        # of its records gets 3.0 / 3 and the shares add up to the 3.0.
+        # A custom problem runs all five seeds as one block in this process,
+        # whatever n_jobs is. The clock reads 10.0 when the block starts and
+        # 13.0 when it ends: each of its records gets 3.0 / 5 and the shares
+        # add up to the 3.0.
         config = tiny_config(tmp_path, run_count=5)
-        ticks = iter([10.0, 13.0, 20.0, 22.0])
+        ticks = iter([10.0, 13.0])
         monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
         _, records = run_batch(config, problem=config.load_problem(), n_jobs=2)
-        assert [r.wall_time for r in records] == [1.0, 1.0, 1.0, 1.0, 1.0]
+        assert [r.wall_time for r in records] == [0.6] * 5
         # Measured, a block's shares are equal and add up to at most the batch time.
         monkeypatch.undo()
         for jobs, blocks in ((1, [range(5)]), (2, [range(3), range(3, 5)])):
@@ -214,6 +216,23 @@ class TestRunBatch:
             for block in blocks:
                 assert len({records[i].wall_time for i in block}) == 1
             assert 0.0 < sum(r.wall_time for r in records) <= jobs * elapsed
+
+    def test_records_do_not_depend_on_jobs_in_one_process(self, tmp_path):
+        # A problem built on a matrix-vector product may round a row by the
+        # size of its batch, so a record of a 7-fish run depends on the seeds
+        # stacked with it. A custom problem runs in this process, where every
+        # n_jobs runs the six seeds as one block and gives the same records.
+        w = np.random.default_rng(5).normal(size=10)
+        problem = Problem(
+            dimension=10, lower=np.full(10, -5.0), upper=np.full(10, 5.0),
+            objective=lambda x: (x @ w) ** 2 + x[:, 0],
+            inequalities=(lambda x: 1.0 - x @ w,),
+        )
+        config = tiny_config(tmp_path, run_count=6, iterations=300, n_fish=7)
+        _, first = run_batch(config, problem=problem, n_jobs=1)
+        for jobs in (2, 3):
+            _, records = run_batch(config, problem=problem, n_jobs=jobs)
+            assert [record_differences(a, b) for a, b in zip(first, records)] == [[]] * 6
 
     def test_job_count_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="n_jobs"):
