@@ -279,11 +279,14 @@ def resolve_source(
 
     ``source`` is "files" (the given ``data_dir`` or the directory named by
     WRFSS_CEC2010_DATA), "surrogate", or "zero". With source=None, files are
-    used when a directory is known and the surrogate otherwise. The label is
+    used when a directory is known and the surrogate otherwise; a ``data_dir``
+    that "surrogate" or "zero" would ignore raises ValueError. The label is
     "files:<dir>", "surrogate" or "zero". Reads no data file.
     """
     if source not in (None, *DATA_SOURCES):
         raise ValueError(f"source must be one of {DATA_SOURCES}, got {source!r}")
+    if data_dir is not None and source in ("surrogate", "zero"):
+        raise ValueError(f"data_dir {str(data_dir)!r} is unused by data source {source!r}")
     if data_dir is None and source in (None, "files"):
         data_dir = os.environ.get(DATA_ENV_VAR) or None
     if source is None:

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import cec2010, harness
 
 # ExperimentConfig fields set through the selection flags (--problem,
-# --variant, --runs, --seed/--base-seed, --out, --data-dir, --data-source).
+# --variant, --runs, --seed, --out, --data-dir, --data-source).
 # Every other field has an override flag: "--" + its name with dashes.
 _SELECTION_FIELDS = {
     "problem_id", "variant", "run_count", "base_seed", "output_dir", "data_dir", "data_source",
@@ -32,14 +32,17 @@ _OVERRIDE_FIELDS = [name for name in harness.FIELD_TYPES if name not in _SELECTI
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", help="problem id, e.g. C01")
+    sub.add_argument("--problem", help="comma-separated problem ids, e.g. C01 or C01,C08")
+    variants = ", ".join(sorted(harness.VARIANT_NAMES))
+    sub.add_argument("--variant", help=f"comma-separated algorithm variants, of {variants}")
     sub.add_argument(
-        "--variant", choices=sorted(harness.VARIANT_NAMES), help="algorithm variant"
+        "--preset", choices=["paper", "desk"],
+        help=f"use the published protocol parameters; desk scales the budget down to "
+        f"{harness.DESK_ITERATIONS} iterations",
     )
-    sub.add_argument("--preset", choices=["paper"], help="use the published protocol parameters")
     sub.add_argument(
-        "--desk", action="store_true",
-        help=f"scale the preset budget down to {harness.DESK_ITERATIONS} iterations",
+        "--seed", type=int, dest="base_seed", metavar="SEED",
+        help=_from_file_else("seed of the first run", "base_seed"),
     )
     sub.add_argument(
         "--config",
@@ -72,22 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand's parser reports the usage errors found after parsing.
     # `run` is a batch of one run per pair, without the batch-only flags.
     p_run = subs.add_parser("run", help="run one experiment with a single seed")
-    p_run.set_defaults(parser=p_run, runs=1, jobs=1, problems=None, variants=None)
+    p_run.set_defaults(parser=p_run, runs=1, jobs=1)
     _add_common(p_run)
-    p_run.add_argument(
-        "--seed", type=int, dest="base_seed", metavar="SEED",
-        help=_from_file_else("run seed", "base_seed"),
-    )
 
     p_batch = subs.add_parser("batch", help="run a problem x variant grid")
     p_batch.set_defaults(parser=p_batch)
     _add_common(p_batch)
-    p_batch.add_argument("--problems", help="comma-separated problem ids (overrides --problem)")
-    p_batch.add_argument("--variants", help="comma-separated variants (overrides --variant)")
     p_batch.add_argument("--runs", type=int, help=_from_file_else("runs per pair", "run_count"))
-    p_batch.add_argument(
-        "--base-seed", type=int, help=_from_file_else("seed of the first run", "base_seed")
-    )
     p_batch.add_argument("--jobs", type=int, default=1, help="worker processes per batch")
 
     p_table = subs.add_parser("table1", help="estimate feasible-region ratios by sampling")
@@ -119,16 +113,16 @@ def _merge_config(
         except ValueError as exc:
             args.parser.error(str(exc))
     kwargs: dict = {}
-    if args.preset == "paper":
+    if args.preset:
         # The preset's pair comes from the flags, else the config file.
         problem_id = given["problem_id"] or from_file.get("problem_id")
         variant = given["variant"] or from_file.get("variant")
         if not problem_id or not variant:
             args.parser.error(
-                "--preset paper requires a problem and a variant (flags or config file)"
+                f"--preset {args.preset} requires a problem and a variant (flags or config file)"
             )
         try:
-            preset = harness.paper_preset(problem_id, variant, desk=args.desk)
+            preset = harness.paper_preset(problem_id, variant, desk=args.preset == "desk")
         except ValueError as exc:
             args.parser.error(str(exc))
         kwargs.update(dataclasses.asdict(preset))
@@ -163,17 +157,18 @@ def _cmd_batch(args) -> int:
     if args.jobs < 1:
         args.parser.error(f"--jobs must be >= 1, got {args.jobs}")
     # Without its flags, a problem or variant comes from the config file (None).
-    problems = [p.strip() for p in (args.problems or args.problem or "").split(",") if p.strip()]
-    variants = [v.strip() for v in (args.variants or args.variant or "").split(",") if v.strip()]
+    problems = [p.strip() for p in (args.problem or "").split(",") if p.strip()]
+    variants = [v.strip() for v in (args.variant or "").split(",") if v.strip()]
     problems, variants = problems or [None], variants or [None]
     grid = len(problems) * len(variants) > 1
-    for pid in problems:
-        for variant in variants:
-            config = _merge_config(args, dict(
-                problem_id=pid, variant=variant,
-                run_count=args.runs, base_seed=args.base_seed, output_dir=args.out,
-            ), grid)
-            _execute_batch(config, jobs=args.jobs)
+    selection = dict(run_count=args.runs, base_seed=args.base_seed, output_dir=args.out)
+    # Every pair's config is checked before the first batch runs.
+    configs = [
+        _merge_config(args, dict(selection, problem_id=pid, variant=variant), grid)
+        for pid in problems for variant in variants
+    ]
+    for config in configs:
+        _execute_batch(config, jobs=args.jobs)
     return 0
 
 
@@ -182,6 +177,7 @@ def _cmd_table1(args) -> int:
         args.parser.error(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
         args.parser.error(f"--seed must be >= 0, got {args.seed}")
+    cec2010.resolve_source(args.data_dir, args.data_source)  # a conflict fails before any output
     print(f"{'problem':<8}{'estimated':>12}{'published':>12}{'abs diff':>12}  data source")
     used_fallback = False
     for pid in cec2010.PROBLEM_IDS:

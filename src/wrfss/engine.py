@@ -71,8 +71,8 @@ class Variant:
 
     Gradient: ``p_g`` is the per-fish probability of probing instead of the
     plain random move, and ``k_directions`` the number of random unit vectors
-    sampled per probe. ``perturbation`` is the forward-difference step; None
-    means 1e-6 of the per-dimension box range.
+    sampled per probe. The forward-difference step is 1e-6 of the
+    per-dimension box range.
     """
 
     kind: str = "base"
@@ -81,7 +81,6 @@ class Variant:
     epsilon0: float | None = None
     k_directions: int = 200
     p_g: float = 0.1
-    perturbation: float | None = None
 
     def __post_init__(self):
         _reject_non_finite(self)
@@ -99,8 +98,6 @@ class Variant:
                 raise ValueError(f"k_directions must be >= 1, got {self.k_directions}")
             if not 0.0 <= self.p_g <= 1.0:
                 raise ValueError(f"p_g must lie in [0, 1], got {self.p_g}")
-            if self.perturbation is not None and not self.perturbation > 0.0:
-                raise ValueError(f"perturbation must be positive, got {self.perturbation}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +168,9 @@ class RunRecord:
     ``trace_feasible_count`` counts the feasible fish of the school as scored
     right after the individual movement, before the collective movements
     shift it; the next iteration's phase decision sees the re-scored school.
-    The phases are held as int8 and the counts as int32, the iterations as
-    int64: a record keeps five trace columns, and a batch keeps many records.
+    The phases are held as int8 and the counts as int32, and the iteration
+    column is derived from the trace length: a record keeps four trace
+    columns, and a batch keeps many records.
 
     ``eval_count`` is n_fish * (1 + 2 * iterations) plus D+1 per gradient
     probe; a batch re-scored after a phase change is not counted again. An
@@ -194,7 +192,6 @@ class RunRecord:
     variant_kind: str
     n_fish: int
     iterations: int
-    trace_iteration: np.ndarray
     trace_best_fitness: np.ndarray
     trace_best_violation: np.ndarray
     trace_phase: np.ndarray
@@ -207,6 +204,10 @@ class RunRecord:
     wall_time: float
     aborted: bool = False
     error: str = ""
+
+    @property
+    def trace_iteration(self) -> np.ndarray:
+        return np.arange(len(self.trace_best_fitness), dtype=np.int64)
 
     @property
     def best_feasible(self) -> bool:
@@ -515,10 +516,7 @@ def _run_school(
     # The running extremes of each run's active objective, in its current
     # phase and in the other one.
     extremes, other_extremes = RunningExtremes.empty(runs), RunningExtremes.empty(runs)
-    if variant.perturbation is None:
-        e_vec = 1e-6 * width
-    else:
-        e_vec = np.full(d, float(variant.perturbation))
+    e_vec = 1e-6 * width  # the probe's forward-difference step
 
     # Trace rows, one column per run: best fitness, best violation, phase and
     # feasible count.
@@ -687,7 +685,6 @@ def _run_school(
             variant_kind=variant.kind,
             n_fish=n,
             iterations=params.iterations,
-            trace_iteration=np.arange(rows, dtype=np.int64),
             trace_best_fitness=trace_f[:rows, r].copy(),
             trace_best_violation=trace_v[:rows, r].copy(),
             trace_phase=trace_phase[:rows, r].copy(),

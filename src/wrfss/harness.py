@@ -95,7 +95,6 @@ class ExperimentConfig:
     epsilon0: float | None = Variant.epsilon0
     p_g: float = Variant.p_g
     k_directions: int = Variant.k_directions
-    perturbation: float | None = Variant.perturbation
 
     def __post_init__(self):
         if self.variant not in VARIANT_NAMES:
@@ -302,10 +301,11 @@ def _write_trace(path: Path, record: RunRecord) -> None:
     """Write the trace CSV, formatting its rows from Python columns a block of rows at a time."""
     with path.open("w") as fh:
         fh.write("iteration,best_fitness,best_violation,phase,feasible_count\n")
-        for start in range(0, len(record.trace_iteration), _TRACE_BLOCK):
+        rows_total = len(record.trace_best_fitness)
+        for start in range(0, rows_total, _TRACE_BLOCK):
             rows = slice(start, start + _TRACE_BLOCK)
             columns = (
-                record.trace_iteration[rows].tolist(),
+                range(rows_total)[rows],
                 map(repr, record.trace_best_fitness[rows].tolist()),
                 map(repr, record.trace_best_violation[rows].tolist()),
                 record.trace_phase[rows].tolist(),
@@ -342,21 +342,20 @@ def emit_reports(
     seeds (no timestamps), so re-running the same batch reproduces them
     byte-for-byte.
     """
+    data_source, reference = "unavailable", {}
+    if config.problem_id in cec2010.PROBLEM_IDS:
+        reference = cec2010.known_reference_values(config.problem_id)
+        try:  # a conflicting data_dir and source raise before any file is written
+            data_source = config.resolved_data_source()
+        except cec2010.BenchDataError:
+            pass
+
     out = prepare_output_dir(config.output_dir if out_dir is None else out_dir)
     paths: dict[str, Path] = {}
-
     for i, record in enumerate(records):
         trace_path = out / f"trace_run{i:03d}.csv"
         _write_trace(trace_path, record)
         paths[f"trace_run{i:03d}"] = trace_path
-
-    data_source, reference = "unavailable", {}
-    if config.problem_id in cec2010.PROBLEM_IDS:
-        reference = cec2010.known_reference_values(config.problem_id)
-        try:
-            data_source = config.resolved_data_source()
-        except cec2010.BenchDataError:
-            pass
 
     summary = {
         "problem": config.problem_id,

@@ -441,6 +441,15 @@ class TestDataFiles:
         bench = load_problem("C01", source="zero")
         assert bench.data_source == "zero"
 
+    @pytest.mark.parametrize("source", ["surrogate", "zero"])
+    def test_data_dir_with_fallback_source_rejected(self, tmp_path, source):
+        # the directory would be ignored, so asking for both is an error
+        data = write_data_dir(tmp_path / "data", source="zero")
+        with pytest.raises(ValueError, match=rf"data_dir .* data source '{source}'"):
+            cec2010.resolve_source(data, source)
+        with pytest.raises(ValueError, match="data_dir"):
+            load_problem("C01", data_dir=data, source=source)
+
 
 class TestReferenceValues:
     def test_c01_external_reference(self):

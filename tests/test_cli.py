@@ -29,8 +29,8 @@ class TestRunCommand:
     def test_preset_parameters_reach_the_manifest(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli([
-            "run", "--problem", "C01", "--variant", "wrfssp", "--preset", "paper",
-            "--desk", "--iterations", "25", "--n-fish", "5", "--out", str(out),
+            "run", "--problem", "C01", "--variant", "wrfssp", "--preset", "desk",
+            "--iterations", "25", "--n-fish", "5", "--out", str(out),
         ])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -38,6 +38,18 @@ class TestRunCommand:
         assert manifest["config"]["sigma"] == 0.05
         assert manifest["config"]["tau"] == 0.30
         assert manifest["config"]["iterations"] == 25  # flag overrides preset
+
+    @pytest.mark.parametrize("preset, budget", [("paper", "PAPER_ITERATIONS"),
+                                                ("desk", "DESK_ITERATIONS")])
+    def test_preset_sets_its_budget(self, tmp_path, monkeypatch, preset, budget):
+        # Small budgets, so that the preset's own iteration count is what runs.
+        monkeypatch.setattr(harness, "PAPER_ITERATIONS", 4)
+        monkeypatch.setattr(harness, "DESK_ITERATIONS", 3)
+        out = tmp_path / "out"
+        assert run_cli(["run", "--problem", "C08", "--variant", "wrfss", "--preset", preset,
+                        "--n-fish", "4", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["iterations"] == getattr(harness, budget)
 
     def test_repeat_is_byte_identical(self, tmp_path):
         args = [
@@ -63,7 +75,7 @@ class TestRunCommand:
         names = ("trace_run000.csv", "summary.json", "manifest.json")
         assert run_cli(["run", *flags, "--seed", "5"]) == 0
         ran = {name: (out / name).read_bytes() for name in names}
-        assert run_cli(["batch", *flags, "--base-seed", "5", "--runs", "1"]) == 0
+        assert run_cli(["batch", *flags, "--seed", "5", "--runs", "1"]) == 0
         assert ran == {name: (out / name).read_bytes() for name in names}
 
     def test_problem_list_runs_each_pair_once(self, tmp_path):
@@ -154,7 +166,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("args", [
         ["run", "--seed", "-1"],
-        ["batch", "--runs", "2", "--base-seed", "-2"],
+        ["batch", "--runs", "2", "--seed", "-2"],
     ])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, args):
         args = args + ["--problem", "C01", "--variant", "wrfss", "--iterations", "3",
@@ -208,9 +220,27 @@ class TestRunCommand:
         assert "--violation-exponent" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--desk"]),
+        ("batch", ["--desk"]),
+        ("batch", ["--problems", "C01"]),
+        ("batch", ["--variants", "wrfss"]),
+        ("batch", ["--base-seed", "5"]),
+        ("run", ["--perturbation", "1e-5"]),
+    ])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
+                     *flags, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("text", [
         '{"violation_exponent": 1.0}',
         '{"config": {"problem_id": "C01", "variant": "wrfss", "violation_exponent": 1.0}, '
+        '"seeds": [1000], "resolved_data_source": "surrogate"}',
+        '{"config": {"problem_id": "C01", "variant": "wrfss", "perturbation": null}, '
         '"seeds": [1000], "resolved_data_source": "surrogate"}',
     ])
     def test_removed_exponent_key_is_usage_error(self, tmp_path, capsys, text):
@@ -220,7 +250,8 @@ class TestRunCommand:
                      "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown key 'violation_exponent'" in err and "old.json" in err, err
+        removed = next(key for key in ("violation_exponent", "perturbation") if key in text)
+        assert f"unknown key '{removed}'" in err and "old.json" in err, err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_problem_is_runtime_error(self, tmp_path, capsys):
@@ -239,6 +270,18 @@ class TestRunCommand:
         ])
         assert code == 1
         assert "C01.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["surrogate", "zero"])
+    def test_data_dir_with_fallback_source_is_runtime_error(self, tmp_path, capsys, source):
+        code = run_cli([
+            "run", "--problem", "C01", "--variant", "wrfss", "--iterations", "5",
+            "--data-source", source, "--data-dir", str(tmp_path / "nodata"),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "data_dir" in err and source in err, err
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_supplies_experiment(self, tmp_path):
         config = tmp_path / "exp.json"
@@ -272,7 +315,7 @@ class TestConfigFilePrecedence:
         return json.loads((out / "manifest.json").read_text())
 
     def test_batch_takes_seeds_runs_and_directory_from_file(self, tmp_path, config):
-        assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--iterations", "3",
+        assert run_cli(["batch", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
                         "--n-fish", "4", "--config", config]) == 0
         manifest = self.manifest(tmp_path / "fromfile")
         assert manifest["seeds"] == [7, 8]
@@ -280,15 +323,15 @@ class TestConfigFilePrecedence:
         assert not (tmp_path / "out").exists()
 
     def test_batch_grid_puts_pairs_under_file_directory(self, tmp_path, config):
-        assert run_cli(["batch", "--problems", "C01,C07", "--variants", "wrfss",
+        assert run_cli(["batch", "--problem", "C01,C07", "--variant", "wrfss",
                         "--iterations", "3", "--n-fish", "4", "--config", config]) == 0
         for pair in ("C01_wrfss", "C07_wrfss"):
             assert self.manifest(tmp_path / "fromfile" / pair)["seeds"] == [7, 8]
 
     def test_flags_override_file(self, tmp_path, config):
         out = tmp_path / "flagged"
-        assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--iterations", "3",
-                        "--n-fish", "4", "--config", config, "--runs", "3", "--base-seed", "20",
+        assert run_cli(["batch", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
+                        "--n-fish", "4", "--config", config, "--runs", "3", "--seed", "20",
                         "--out", str(out)]) == 0
         assert self.manifest(out)["seeds"] == [20, 21, 22]
         assert not (tmp_path / "fromfile").exists()
@@ -303,7 +346,7 @@ class TestConfigFilePrecedence:
         assert run_cli(["run", "--problem", "C01", "--variant", "wrfss", "--iterations", "3",
                         "--n-fish", "4"]) == 0
         assert self.manifest(tmp_path / "out")["seeds"] == [1000]
-        assert run_cli(["batch", "--problems", "C01,C07", "--variants", "wrfss",
+        assert run_cli(["batch", "--problem", "C01,C07", "--variant", "wrfss",
                         "--iterations", "3", "--n-fish", "4", "--runs", "2"]) == 0
         assert self.manifest(tmp_path / "out" / "C07_wrfss")["seeds"] == [1000, 1001]
 
@@ -319,7 +362,7 @@ class TestConfigFilePrecedence:
     def test_batch_grid_names_pairs_with_file_values(self, tmp_path):
         config = tmp_path / "pair.json"
         config.write_text(json.dumps({"problem_id": "C07", "iterations": 3, "n_fish": 4}))
-        assert run_cli(["batch", "--config", str(config), "--variants", "wrfss,wrfsse",
+        assert run_cli(["batch", "--config", str(config), "--variant", "wrfss,wrfsse",
                         "--runs", "1"]) == 0
         for variant in ("wrfss", "wrfsse"):
             assert self.manifest(tmp_path / "out" / f"C07_{variant}")["config"]["variant"] == variant
@@ -329,7 +372,7 @@ class TestConfigFilePrecedence:
         config = tmp_path / "pair.json"
         config.write_text(json.dumps({"problem_id": "C01", "variant": "wrfsse", "iterations": 3,
                                       "n_fish": 4}))
-        assert run_cli(["run", "--config", str(config), "--preset", "paper", "--desk"]) == 0
+        assert run_cli(["run", "--config", str(config), "--preset", "desk"]) == 0
         manifest = self.manifest(tmp_path / "out")["config"]
         assert (manifest["problem_id"], manifest["variant"]) == ("C01", "wrfsse")
         assert manifest["tau"] == 0.30  # from the wrfsse preset
@@ -343,7 +386,7 @@ class TestConfigFilePrecedence:
         config = tmp_path / "pair.json"
         config.write_text(json.dumps({"iterations": 3, **pair}))
         with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", str(config), "--preset", "paper", "--desk"])
+            run_cli(["run", "--config", str(config), "--preset", "paper"])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -353,18 +396,37 @@ class TestBatchCommand:
     def test_grid_writes_one_directory_per_pair(self, tmp_path):
         out = tmp_path / "grid"
         code = run_cli([
-            "batch", "--problems", "C01,C07", "--variants", "wrfss",
+            "batch", "--problem", "C01,C08", "--variant", "wrfss,wrfsse",
             "--runs", "2", "--iterations", "15", "--n-fish", "5",
-            "--base-seed", "3", "--out", str(out),
+            "--seed", "3", "--out", str(out),
         ])
         assert code == 0
-        assert (out / "C01_wrfss" / "summary.json").is_file()
-        assert (out / "C07_wrfss" / "summary.json").is_file()
+        pairs = ["C01_wrfss", "C01_wrfsse", "C08_wrfss", "C08_wrfsse"]
+        assert sorted(p.name for p in out.iterdir()) == pairs
+        for pair in pairs:
+            assert (out / pair / "summary.json").is_file()
+
+    def test_bad_variant_in_a_list_fails_before_any_pair_runs(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["batch", "--problem", "C01", "--variant", "wrfss,nope",
+                     "--runs", "1", "--iterations", "3", "--n-fish", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "variant must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_sets_the_first_seed(self, tmp_path):
+        out = tmp_path / "seeded"
+        assert run_cli(["batch", "--problem", "C01", "--variant", "wrfss", "--seed", "5",
+                        "--runs", "2", "--iterations", "3", "--n-fish", "4",
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [5, 6]
+        assert json.loads((out / "summary.json").read_text())["runs"][1]["seed"] == 6
 
     def test_single_pair_writes_flat(self, tmp_path):
         out = tmp_path / "flat"
         code = run_cli([
-            "batch", "--problems", "C01", "--variants", "wrfss",
+            "batch", "--problem", "C01", "--variant", "wrfss",
             "--runs", "2", "--iterations", "15", "--n-fish", "5", "--out", str(out),
         ])
         assert code == 0
@@ -375,8 +437,8 @@ class TestBatchCommand:
         # and the same manifest apart from the output directory.
         first = tmp_path / "first"
         assert run_cli([
-            "batch", "--problems", "C01", "--variants", "wrfsse", "--runs", "3",
-            "--iterations", "15", "--n-fish", "5", "--sigma", "0.2", "--base-seed", "40",
+            "batch", "--problem", "C01", "--variant", "wrfsse", "--runs", "3",
+            "--iterations", "15", "--n-fish", "5", "--sigma", "0.2", "--seed", "40",
             "--out", str(first),
         ]) == 0
         replay = tmp_path / "replay"
@@ -395,11 +457,11 @@ class TestBatchCommand:
 
     def test_manifest_replay_honours_flags(self, tmp_path):
         first = tmp_path / "first"
-        assert run_cli(["batch", "--problems", "C01", "--variants", "wrfss", "--runs", "1",
+        assert run_cli(["batch", "--problem", "C01", "--variant", "wrfss", "--runs", "1",
                         "--iterations", "3", "--n-fish", "4", "--out", str(first)]) == 0
         replay = tmp_path / "r"
         assert run_cli(["batch", "--config", str(first / "manifest.json"), "--iterations", "7",
-                        "--problems", "C07", "--out", str(replay)]) == 0
+                        "--problem", "C07", "--out", str(replay)]) == 0
         config = json.loads((replay / "manifest.json").read_text())["config"]
         assert (config["iterations"], config["problem_id"], config["n_fish"]) == (7, "C07", 4)
 
@@ -408,7 +470,7 @@ class TestBatchCommand:
         out = tmp_path / "x"
         with pytest.raises(SystemExit) as exc:
             run_cli([
-                "batch", "--problems", "C01", "--variants", "wrfss", "--runs", "2",
+                "batch", "--problem", "C01", "--variant", "wrfss", "--runs", "2",
                 "--iterations", "5", "--n-fish", "4", "--jobs", jobs, "--out", str(out),
             ])
         assert exc.value.code == 2
@@ -442,18 +504,17 @@ OVERRIDE_FLAGS = {
     "--epsilon0": float,
     "--p-g": float,
     "--k-directions": int,
-    "--perturbation": float,
 }
 COMMON_FLAGS = {
-    "-h", "--help", "--problem", "--variant", "--preset", "--desk", "--config",
+    "-h", "--help", "--problem", "--variant", "--preset", "--seed", "--config",
     "--data-dir", "--data-source", "--out",
 }
 
 
 class TestParameterSurface:
     @pytest.mark.parametrize("command, own", [
-        ("run", {"--seed"}),
-        ("batch", {"--problems", "--variants", "--runs", "--base-seed", "--jobs"}),
+        ("run", set()),
+        ("batch", {"--runs", "--jobs"}),
     ])
     def test_override_flags(self, command, own):
         parser = _build_parser()
@@ -464,7 +525,7 @@ class TestParameterSurface:
 
     @pytest.mark.parametrize("field, command, flag", [
         ("run_count", "batch", "--runs"),
-        ("base_seed", "batch", "--base-seed"),
+        ("base_seed", "batch", "--seed"),
         ("base_seed", "run", "--seed"),
         ("output_dir", "run", "--out"),
     ])
@@ -475,7 +536,7 @@ class TestParameterSurface:
         subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         helps = {o: a.help for a in subs.choices[command]._actions for o in a.option_strings}
         assert helps[flag].endswith("else patched-default)")
-        assert "1234 iterations" in helps["--desk"]
+        assert "1234 iterations" in helps["--preset"]
 
     def test_override_flags_parse_by_type(self):
         parser = _build_parser()
@@ -520,6 +581,13 @@ class TestInformational:
         for pid in ("C01", "C03", "C09"):
             assert pid in out
         assert "fallback" in out
+
+    @pytest.mark.parametrize("source", ["surrogate", "zero"])
+    def test_table1_data_dir_with_fallback_source_is_runtime_error(self, tmp_path, capsys, source):
+        assert run_cli(["table1", "--samples", "10", "--data-source", source,
+                        "--data-dir", str(tmp_path / "nodata")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "data_dir" in err and source in err, err
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "0")])
     def test_bad_table1_argument_is_usage_error(self, capsys, flag, value):

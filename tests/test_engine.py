@@ -519,7 +519,6 @@ class TestRun:
         (EngineParams, "step_ind_initial", math.inf),
         (Variant, "epsilon0", math.inf),
         (Variant, "cp_min", math.inf),
-        (Variant, "perturbation", math.inf),
         (Variant, "tc_fraction", math.nan),
     ])
     def test_non_finite_parameter_rejected(self, cls, name, value):
@@ -548,7 +547,6 @@ class TestRun:
         v = Variant("gradient")
         assert v.k_directions == 200
         assert v.p_g == 0.1
-        assert v.perturbation is None
 
 
 # The four variant kinds on C01, C07 and C08 (surrogate data, desk preset at

@@ -213,18 +213,18 @@ class TestProbeMove:
             Variant("gradient", k_directions=0, p_g=0.5)
         with pytest.raises(ValueError, match="p_g"):
             Variant("gradient", k_directions=5, p_g=1.5)
-        with pytest.raises(ValueError, match="perturbation"):
-            Variant("gradient", k_directions=5, p_g=0.5, perturbation=0.0)
 
     def test_default_perturbation_scales_with_range(self):
         # the forward-difference step run() uses, read off the probe rows:
-        # with p_g = 1 every fish probes, so each probe batch has 4 * (D+1) rows
-        steps = []
+        # with p_g = 1 every fish probes, so each probe batch has 4 * (D+1)
+        # rows, the fish and then the fish moved by 1e-6 of the range along
+        # one axis each
+        offsets = []
 
         def inequality(x):
             if x.shape[0] == 4 * 3:
                 probes = x.reshape(4, 3, 2)
-                steps.extend(np.diagonal(probes[:, 1:] - probes[:, :1], axis1=1, axis2=2))
+                offsets.extend(probes[:, 1:] - probes[:, :1])
             return np.zeros(x.shape[0])
 
         lower, upper = np.array([0.0, -50.0]), np.array([10.0, 50.0])
@@ -232,13 +232,10 @@ class TestProbeMove:
                           objective=lambda x: np.zeros(x.shape[0]), inequalities=(inequality,))
         params = EngineParams(n_fish=4, iterations=2)
         run(problem, Variant("gradient", k_directions=5, p_g=1.0), params, seed=3)
-        assert len(steps) == 8
-        assert np.allclose(steps, [1e-5, 1e-4])
-        steps.clear()
-        fixed = Variant("gradient", k_directions=5, p_g=1.0, perturbation=1e-3)
-        run(problem, fixed, params, seed=3)
-        assert len(steps) == 8
-        assert np.allclose(steps, 1e-3)
+        assert len(offsets) == 8
+        for offset in offsets:
+            assert offset[0, 1] == offset[1, 0] == 0.0
+            assert np.allclose(np.diag(offset), 1e-6 * (upper - lower), rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("phase", [1, 2])

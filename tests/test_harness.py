@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wrfss import engine
+from wrfss import cec2010, engine
 from wrfss.cec2010 import PROBLEM_IDS, BenchDataError
 from wrfss.engine import EngineParams, RunRecord, Variant, run
 from wrfss.harness import (
@@ -114,7 +114,6 @@ class TestSummaryStats:
             variant_kind="base",
             n_fish=1,
             iterations=0,
-            trace_iteration=empty_i,
             trace_best_fitness=empty_f,
             trace_best_violation=empty_f,
             trace_phase=empty_i,
@@ -297,6 +296,15 @@ class TestReports:
         assert summary["runs"][0]["best_fitness"] is None
         assert summary["runs"][0]["feasible"] is False
 
+    def test_data_dir_with_fallback_source_writes_nothing(self, tmp_path):
+        # run_batch takes the problem object, so only the report sees the conflict
+        config = tiny_config(tmp_path, run_count=1, iterations=2,
+                             data_dir=str(tmp_path / "data"), data_source="surrogate")
+        stats, records = run_batch(config, problem=cec2010.load_problem("C01").problem)
+        with pytest.raises(ValueError, match="data_dir"):
+            emit_reports(config, stats, records)
+        assert not (tmp_path / "out").exists()
+
     def test_emitted_files(self, tmp_path):
         config = tiny_config(tmp_path)
         stats, records = run_batch(config)
@@ -422,7 +430,7 @@ class TestConfigFile:
         assert config.output_dir == "results"
 
     def test_null_only_for_optional_fields(self, tmp_path):
-        optional = {"data_dir", "data_source", "epsilon0", "perturbation"}
+        optional = {"data_dir", "data_source", "epsilon0"}
         nulls = write_json(tmp_path / "nulls.json", dict.fromkeys(optional))
         assert read_config(nulls) == dict.fromkeys(optional)
         for name in {f.name for f in dataclasses.fields(ExperimentConfig)} - optional:
@@ -493,7 +501,6 @@ EVERY_CONFIG_KEY = {
     "epsilon0": 1e-3,
     "p_g": 0.2,
     "k_directions": 30,
-    "perturbation": 1e-5,
 }
 
 
@@ -549,7 +556,7 @@ class TestParameterSurface:
             "tau": 0.01, "w_scale": 5000.0, "step_ind_initial": 0.1, "step_ind_final": 0.0001,
             "step_vol_initial": 0.2, "step_vol_final": 0.0002, "sar_alpha0": 0.8,
             "sar_decay": 0.007, "tc_fraction": 0.6, "cp_min": 8.0, "epsilon0": None,
-            "p_g": 0.1, "k_directions": 50, "perturbation": None,
+            "p_g": 0.1, "k_directions": 50,
         }
         manifest = write_json(
             tmp_path / "manifest.json",
@@ -557,11 +564,13 @@ class TestParameterSurface:
         )
         assert read_config(manifest) == config
         assert dataclasses.asdict(ExperimentConfig(**read_config(manifest))) == config
-        # a manifest written while the violation exponent was a field is refused
-        write_json(manifest, {"config": dict(config, violation_exponent=1.0), "seeds": [1000],
-                              "resolved_data_source": "surrogate"})
-        with pytest.raises(ValueError, match="unknown key 'violation_exponent' in .*manifest"):
-            read_config(manifest)
+        # a manifest written while the violation exponent or the probe
+        # perturbation was a field is refused
+        for removed, value in (("violation_exponent", 1.0), ("perturbation", None)):
+            write_json(manifest, {"config": dict(config, **{removed: value}), "seeds": [1000],
+                                  "resolved_data_source": "surrogate"})
+            with pytest.raises(ValueError, match=f"unknown key '{removed}' in .*manifest"):
+                read_config(manifest)
 
     @pytest.mark.parametrize("name", sorted(VARIANT_NAMES))
     def test_default_config_builds_engine_defaults(self, name):
